@@ -3,6 +3,7 @@
 import sys
 
 import click
+import numpy as np
 
 from . import pipeline
 from .config import JobConfig, parse_config, validate
@@ -52,6 +53,12 @@ def _common(f):
 def _run(stages, config, out, lam, at_lambda0, grid, report):
     try:
         cfg = _load_config(config, out, lam, at_lambda0, grid)
+        if "family" in stages and len(cfg.lambdas) < 2:
+            # the eighth roots of unity on the unit circle
+            cfg.lambdas = tuple(
+                (float(np.cos(2 * np.pi * k / 8)), float(np.sin(2 * np.pi * k / 8)))
+                for k in range(8)
+            )
         rep, _ = pipeline.run_pipeline(cfg, stages=stages, report_path=report)
     except CgcError as exc:
         click.echo(f"error: {exc}", err=True)
@@ -91,23 +98,7 @@ def mesh(config, out, lam, at_lambda0, grid, report):
 @_common
 def family(config, out, lam, at_lambda0, grid, report):
     """Build the associated family across unit-circle spectral parameters."""
-    try:
-        cfg = _load_config(config, out, lam, at_lambda0, grid)
-        if len(cfg.lambdas) < 2:
-            import numpy as np
-
-            cfg.lambdas = tuple(
-                (float(np.cos(2 * np.pi * k / 8)), float(np.sin(2 * np.pi * k / 8)))
-                for k in range(8)
-            )
-        rep, _ = pipeline.run_pipeline(
-            cfg, stages=("solve", "frame", "mesh", "family"), report_path=report
-        )
-    except CgcError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    click.echo(rep.render(), nl=False)
-    sys.exit(0 if rep.all_passed else 1)
+    _run(("solve", "frame", "mesh", "family"), config, out, lam, at_lambda0, grid, report)
 
 
 @main.command()

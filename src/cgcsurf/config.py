@@ -7,7 +7,7 @@ pairs, lowest degree first.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ParseError, ValidationError
 from .qdiff import PLANE, UNIT_DISK, QDiff
@@ -38,6 +38,17 @@ class JobConfig:
         return [complex(re, im) for re, im in self.lambdas]
 
 
+def _strict(kind, name):
+    """Converter that accepts only values of exactly this JSON type."""
+
+    def conv(v):
+        if type(v) is not kind:  # bool is an int subclass; reject it for N
+            raise TypeError(f"expected {name}, got {json.dumps(v)}")
+        return v
+
+    return conv
+
+
 _FIELD_PARSERS = {
     "K": ("K", float),
     "Q": ("q_coeffs", lambda v: tuple((float(a), float(b)) for a, b in v)),
@@ -47,10 +58,10 @@ _FIELD_PARSERS = {
     "y_min": ("y_min", float),
     "y_max": ("y_max", float),
     "r": (None, None),  # shorthand for a centered square
-    "N": ("n", int),
-    "Ny": ("ny", int),
+    "N": ("n", _strict(int, "an integer")),
+    "Ny": ("ny", _strict(int, "an integer")),
     "lambdas": ("lambdas", lambda v: tuple((float(a), float(b)) for a, b in v)),
-    "at_lambda0": ("at_lambda0", bool),
+    "at_lambda0": ("at_lambda0", _strict(bool, "true or false")),
     "bc_mode": ("bc_mode", str),
     "bc_file": ("bc_file", str),
     "out_dir": ("out_dir", str),
@@ -105,6 +116,18 @@ def validate(cfg):
         errors.append("N: must be odd")
     if cfg.ny and (cfg.ny < 9 or cfg.ny % 2 == 0):
         errors.append("Ny: must be odd and >= 9")
+    elif cfg.n >= 9:
+        # Grid's test: equal spacing in x and y, to 1e-12 relative
+        hx = (cfg.x_max - cfg.x_min) / (cfg.n - 1)
+        hy = (cfg.y_max - cfg.y_min) / ((cfg.ny or cfg.n) - 1)
+        rect = "x_min, x_max, y_min, y_max"
+        if not (hx > 0 and hy > 0):
+            errors.append(f"{rect}: rectangle must have positive width and height")
+        elif abs(hx - hy) > 1e-12 * max(hx, hy):
+            errors.append(
+                f"{rect}: N x Ny nodes must give equal spacing in x and y, "
+                f"got hx={hx:.6g}, hy={hy:.6g}"
+            )
     if cfg.domain not in (UNIT_DISK, PLANE):
         errors.append("domain: must be 'unit-disk' or 'plane'")
     if cfg.domain == UNIT_DISK:

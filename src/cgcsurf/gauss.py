@@ -15,7 +15,8 @@ from scipy.integrate import solve_bvp
 
 from . import qdiff as qd
 from .errors import DomainViolation, ImmersionViolated, NonConvergence
-from .grid import Grid, laplacian5
+from .grid import laplacian5
+from .serialize import _grid_table
 
 RESIDUAL_TOL = 1e-10
 MAX_NEWTON_ITERS = 100
@@ -191,11 +192,4 @@ def ode_oracle(c, K, x_range, bc, tol=1e-11, n_init=201):
 
 def metric_field_csv(mf, grid):
     """CSV serialization: header i,j,x,y,u, row-major, 17 significant digits."""
-    lines = ["i,j,x,y,u"]
-    xs, ys = grid.xs, grid.ys
-    for i in range(grid.nx):
-        for j in range(grid.ny):
-            lines.append(
-                f"{i},{j},{xs[i]:.17g},{ys[j]:.17g},{mf.u[i, j]:.17g}"
-            )
-    return "\n".join(lines) + "\n"
+    return _grid_table(grid, "i,j,x,y,u", "{:.17g}", [mf.u])

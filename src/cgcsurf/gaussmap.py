@@ -17,6 +17,7 @@ from .minkowski import (
     su11_disk,
     su11_pairing,
 )
+from .serialize import _grid_table
 
 
 def lambda0(K):
@@ -219,17 +220,9 @@ def legendrian_tangency(s, grid):
 def gaussmap_csv(grid, images, target):
     """CSV of H^2 disk images (re, im) or S^2 unit vectors (s1, s2, s3)."""
     if target == "H2":
-        header = "i,j,x,y,re_w,im_w"
-    else:
-        header = "i,j,x,y,s1,s2,s3"
-    lines = [header]
-    xs, ys = grid.xs, grid.ys
-    for i in range(grid.nx):
-        for j in range(grid.ny):
-            if target == "H2":
-                w = images[i, j]
-                tail = f"{w.real:.17g},{w.imag:.17g}"
-            else:
-                tail = ",".join(f"{v:.17g}" for v in images[i, j])
-            lines.append(f"{i},{j},{xs[i]:.17g},{ys[j]:.17g},{tail}")
-    return "\n".join(lines) + "\n"
+        return _grid_table(
+            grid, "i,j,x,y,re_w,im_w", "{:.17g},{:.17g}", [images.real, images.imag]
+        )
+    return _grid_table(
+        grid, "i,j,x,y,s1,s2,s3", "{:.17g},{:.17g},{:.17g}", np.moveaxis(images, -1, 0)
+    )

@@ -118,9 +118,3 @@ def window_mask(grid, frac=0.9):
     bx = frac * max(abs(grid.x_min), abs(grid.x_max))
     by = frac * max(abs(grid.y_min), abs(grid.y_max))
     return (np.abs(z.real) <= bx + 1e-12) & (np.abs(z.imag) <= by + 1e-12)
-
-
-def boundary_mask(grid):
-    m = np.ones((grid.nx, grid.ny), dtype=bool)
-    m[1:-1, 1:-1] = False
-    return m

@@ -10,7 +10,7 @@ holomorphic Q. The frame Psi solves dPsi = Psi alpha with Psi = id at the
 base node.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,25 +18,12 @@ from . import qdiff as qd
 from .errors import DegenerateDenominator, ZeroLambda
 from .grid import d_z, d_zbar
 from .minkowski import E1
+from .serialize import _table
 
 SU11 = "SU11"
 SU2 = "SU2"
 
 DET_DRIFT_WARN = 1e-6
-
-
-@dataclass(frozen=True)
-class DerivativeField:
-    """Centered-difference du = (u_x - i u_y)/2 plus X = (1+s)/2, Y = (1-s)/2."""
-
-    du: np.ndarray
-    X: float
-    Y: float
-
-
-def derivative_field(mf, grid):
-    du = d_z(mf.u, grid)
-    return DerivativeField(du=du, X=(1.0 + mf.sigma) / 2.0, Y=(1.0 - mf.sigma) / 2.0)
 
 
 def compute_p(mf, qs, grid):
@@ -247,17 +234,11 @@ def frame_unitarity_residual(frame, target):
 
 def frame_csv(frame):
     """CSV: i,j plus re/im of the four entries, 17 significant digits."""
-    header = (
-        "i,j,re_a11,im_a11,re_a12,im_a12,re_a21,im_a21,re_a22,im_a22"
+    shape = frame.psi.shape[:2]
+    a = frame.psi.reshape(shape + (4,))  # a11, a12, a21, a22
+    parts = [part(a[..., k]) for k in range(4) for part in (np.real, np.imag)]
+    return _table(
+        "{},{}" + ",{:.17g}" * 8,
+        [*np.indices(shape), *parts],
+        "i,j,re_a11,im_a11,re_a12,im_a12,re_a21,im_a21,re_a22,im_a22",
     )
-    lines = [header]
-    nx, ny = frame.psi.shape[:2]
-    for i in range(nx):
-        for j in range(ny):
-            m = frame.psi[i, j]
-            vals = []
-            for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
-                vals.append(f"{m[a, b].real:.17g}")
-                vals.append(f"{m[a, b].imag:.17g}")
-            lines.append(f"{i},{j}," + ",".join(vals))
-    return "\n".join(lines) + "\n"

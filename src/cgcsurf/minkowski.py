@@ -61,10 +61,6 @@ def mink_inner(a, b):
     return mink_pairing(a, b).real
 
 
-def mink_norm_sq(a):
-    return mink_inner(a, a)
-
-
 def to_poincare_ball(v, tol=_STRUCTURAL_TOL):
     """Project a hyperboloid point to Poincare ball coordinates b_i = x_i/(1+x0)."""
     v = np.asarray(v, dtype=float)

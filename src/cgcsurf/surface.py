@@ -52,10 +52,7 @@ class NumericForms:
     """Numeric fundamental form data on the grid (boundary ring invalid)."""
 
     q_num: np.ndarray  # <df, df> dz^2 coefficient
-    ell_num: np.ndarray  # <df, dbar f>
     m_num: np.ndarray  # -<dbar f, dz n>
-    q3_num: np.ndarray  # <dn, dn> dz^2 coefficient
-    ell3_num: np.ndarray  # <dn, dbar n>
     I_mat: np.ndarray  # real 2x2 Gram of (f_x, f_y)
     II_mat: np.ndarray  # real 2x2 of -<df, dn>, symmetrized
     III_mat: np.ndarray  # real 2x2 Gram of (n_x, n_y)
@@ -66,13 +63,9 @@ def fundamental_forms_numeric(s, grid):
     df = d_z(f, grid)
     dbf = d_zbar(f, grid)
     dn = d_z(n, grid)
-    dbn = d_zbar(n, grid)
 
     q_num = mink_pairing(df, df)
-    ell_num = mink_pairing(df, dbf).real
     m_num = (-mink_pairing(dbf, dn)).real
-    q3_num = mink_pairing(dn, dn)
-    ell3_num = mink_pairing(dn, dbn).real
 
     fx, fy = grad_x(f, grid), grad_y(f, grid)
     nx, ny = grad_x(n, grid), grad_y(n, grid)
@@ -92,10 +85,7 @@ def fundamental_forms_numeric(s, grid):
     II_mat = 0.5 * (II_mat + np.swapaxes(II_mat, -1, -2))
     return NumericForms(
         q_num=q_num,
-        ell_num=ell_num,
         m_num=m_num,
-        q3_num=q3_num,
-        ell3_num=ell3_num,
         I_mat=I_mat,
         II_mat=II_mat,
         III_mat=III_mat,

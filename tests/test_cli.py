@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from cgcsurf import lax, pipeline
 from cgcsurf.cli import main
-from cgcsurf.config import parse_config, validate
+from cgcsurf.config import JobConfig, parse_config, validate
 from cgcsurf.errors import ParseError, ValidationError
+from cgcsurf.grid import window_mask
 from cgcsurf.report import VerifyReport
 
 MINIMAL = """
@@ -56,6 +58,30 @@ def test_parse_rejects_zero_lambda():
 def test_parse_rejects_disk_overflow():
     with pytest.raises(ValidationError):
         parse_config('r = 1.2\ndomain = "unit-disk"')
+
+
+# JSON values of the wrong type, once coerced by bool() or int()
+LOOSE_TYPES = [
+    ("at_lambda0", '"false"'),
+    ("at_lambda0", "1"),
+    ("N", "65.7"),
+    ("N", "65.0"),
+    ("N", "true"),
+    ("Ny", "65.7"),
+]
+
+
+@pytest.mark.parametrize("key,value", LOOSE_TYPES)
+def test_parse_rejects_loose_types(key, value):
+    with pytest.raises(ValidationError) as exc:
+        parse_config(f"{key} = {value}")
+    assert exc.value.key == key
+
+
+def test_parse_keeps_strict_types():
+    cfg = parse_config("at_lambda0 = false\nN = 33\nNy = 33")
+    assert cfg.at_lambda0 is False
+    assert cfg.n == 33 and cfg.ny == 33
 
 
 def test_bc_file_mode_requires_path():
@@ -119,6 +145,48 @@ def test_cli_rejects_bad_config(tmp_path):
     runner = CliRunner()
     res = runner.invoke(main, ["solve", "--config", str(path)])
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("key,value", LOOSE_TYPES)
+def test_cli_rejects_loose_types(tmp_path, key, value):
+    res = CliRunner().invoke(
+        main, ["frame", "--config", _write_config(tmp_path, f"{key} = {value}\n")]
+    )
+    assert res.exit_code == 2, res.output
+    assert f"error: {key}:" in res.output
+
+
+def test_cli_rejects_unequal_spacing(tmp_path):
+    # a 2:1 rectangle with N = Ny nodes: hx = 2 hy
+    cfg = _write_config(
+        tmp_path, "x_min = -0.4\nx_max = 0.4\ny_min = -0.2\ny_max = 0.2\n"
+    )
+    res = CliRunner().invoke(main, ["mesh", "--config", cfg])
+    assert res.exit_code == 2, res.output
+    assert "error: x_min, x_max, y_min, y_max:" in res.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_family_writes_eight_meshes(tmp_path):
+    out = tmp_path / "fam"
+    res = CliRunner().invoke(main, ["family", "--grid", "17", "--out", str(out)])
+    assert res.exit_code in (0, 1), res.output
+    objs = [p for p in os.listdir(out) if p.startswith("surface_") and p.endswith(".obj")]
+    assert len(objs) == 8
+    assert "family.ii_deviation.status" in res.output
+
+
+def test_pipeline_flatness_uses_window(tmp_path):
+    cfg = JobConfig(n=65, q_coeffs=((0.0, 0.0), (0.1, 0.0)), out_dir=str(tmp_path))
+    rep, _ = pipeline.run_pipeline(cfg, stages=("solve", "frame"))
+    grid = pipeline.make_grid(cfg)
+    mf = pipeline.solve_stage(cfg, grid)
+    zc = lax.zero_curvature_residual(lax.build_uv(mf, grid, cfg.qdiff(), 1.0), grid)
+    (entry,) = [e for e in rep.entries if e.name.startswith("flatness.")]
+    assert entry.max_value == float(np.max(zc[window_mask(grid)]))
+    # the corner boundary layer stays visible in the note
+    assert entry.max_value < float(np.max(zc))
+    assert f"{float(np.max(zc)):.6g}" in entry.note
 
 
 def test_cli_converse_round_trip(tmp_path):
