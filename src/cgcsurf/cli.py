@@ -143,8 +143,7 @@ def verify(report, skip_determinism):
     rep = run_verify(check_determinism=not skip_determinism)
     text = rep.render()
     if report:
-        with open(report, "w") as fh:
-            fh.write(text)
+        pipeline._write_file(report, text)
     click.echo(text, nl=False)
     sys.exit(0 if rep.all_passed else 1)
 

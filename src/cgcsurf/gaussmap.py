@@ -10,7 +10,10 @@ from .errors import OnUnitCircle, OutOfRange
 from .grid import d_z, d_zbar
 from .lax import SU2, SU11, build_uv, compute_p
 from .minkowski import (
-    E1,
+    _det,
+    _entries,
+    _mul,
+    _pack,
     mink_pairing,
     su2_pairing,
     su2_sphere,
@@ -59,14 +62,16 @@ class LagrangianMapField:
 
     @property
     def square_residual(self):
-        sq = self.L @ self.L + np.eye(2)
+        sq = _mul(self.L, self.L) + np.eye(2)
         return float(np.max(np.linalg.norm(sq, axis=(-2, -1))))
 
 
 def lagrangian_map(frame, target="generic"):
-    psi = frame.psi
-    psi_inv = np.linalg.inv(psi)
-    l = 1j * psi @ E1 @ psi_inv
+    # i Psi e1 adj(Psi) / det Psi, trace-free by construction
+    a, b, c, d = _entries(frame.psi)
+    s = 1j / _det(frame.psi)
+    ad_bc = s * (a * d + b * c)
+    l = _pack(ad_bc, -2.0 * s * a * b, 2.0 * s * c * d, -ad_bc)
     return LagrangianMapField(L=l, lam=frame.lam, target=target)
 
 
@@ -141,13 +146,13 @@ def harmonicity_residual(mf, grid, q=None, qs=None, lam=1.0):
     off_u = _off(mc.U)
     off_v = _off(mc.V)
 
-    torsion = _off(off_u @ off_v - off_v @ off_u)
+    torsion = _off(_mul(off_u, off_v) - _mul(off_v, off_u))
     # d(*alpha_p) + [alpha ^ *alpha_p] as the dz^dzbar coefficient (up to i)
     tension = (
         d_z(off_v, grid)
         + d_zbar(off_u, grid)
-        + (mc.U @ off_v - off_v @ mc.U)
-        + (mc.V @ off_u - off_u @ mc.V)
+        + (_mul(mc.U, off_v) - _mul(off_v, mc.U))
+        + (_mul(mc.V, off_u) - _mul(off_u, mc.V))
     )
     interior = grid.interior()
     t1 = float(np.max(np.linalg.norm(torsion, axis=(-2, -1))[interior]))

@@ -17,7 +17,7 @@ import numpy as np
 from . import qdiff as qd
 from .errors import DegenerateDenominator, ZeroLambda
 from .grid import d_z, d_zbar
-from .minkowski import E1
+from .minkowski import E1, _det, _mul
 from .serialize import _table
 
 SU11 = "SU11"
@@ -95,7 +95,7 @@ def zero_curvature_residual(mc, grid):
     them again is only uniformly second order two rings in)."""
     dbU = d_zbar(mc.U, grid)
     dzV = d_z(mc.V, grid)
-    comm = mc.V @ mc.U - mc.U @ mc.V
+    comm = _mul(mc.V, mc.U) - _mul(mc.U, mc.V)
     l = dbU - dzV + comm
     r = np.linalg.norm(l, axis=(-2, -1))
     r[:2, :] = r[-2:, :] = 0.0
@@ -112,7 +112,7 @@ def reality_residual(mc, target):
     if target == SU2:
         r = mc.V + ut
     elif target == SU11:
-        r = mc.V + E1 @ ut @ E1
+        r = mc.V + _mul(_mul(E1, ut), E1)
     else:
         raise ValueError(f"unknown target {target!r}")
     return float(np.max(np.linalg.norm(r, axis=(-2, -1))))
@@ -136,16 +136,16 @@ class FrameField:
 def _rk4_step(psi, a0, a1, h):
     """One RK4 step of Psi' = Psi A(t), A linear between a0 and a1."""
     am = 0.5 * (a0 + a1)
-    k1 = psi @ a0
-    k2 = (psi + 0.5 * h * k1) @ am
-    k3 = (psi + 0.5 * h * k2) @ am
-    k4 = (psi + h * k3) @ a1
+    k1 = _mul(psi, a0)
+    k2 = _mul(psi + 0.5 * h * k1, am)
+    k3 = _mul(psi + 0.5 * h * k2, am)
+    k4 = _mul(psi + h * k3, a1)
     return psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _renorm(psi):
     """Principal-branch det normalization; returns (psi, max |det - 1|)."""
-    det = psi[..., 0, 0] * psi[..., 1, 1] - psi[..., 0, 1] * psi[..., 1, 0]
+    det = _det(psi)
     drift = float(np.max(np.abs(det - 1.0)))
     psi = psi / np.sqrt(det)[..., None, None]
     return psi, drift
@@ -224,9 +224,9 @@ def frame_unitarity_residual(frame, target):
     psi = frame.psi
     pst = np.conj(np.swapaxes(psi, -1, -2))
     if target == SU11:
-        r = pst @ E1 @ psi - E1
+        r = _mul(_mul(pst, E1), psi) - E1
     elif target == SU2:
-        r = pst @ psi - np.eye(2)
+        r = _mul(pst, psi) - np.eye(2)
     else:
         raise ValueError(f"unknown target {target!r}")
     return float(np.max(np.linalg.norm(r, axis=(-2, -1))))

@@ -4,6 +4,10 @@ Points of E^{1,3} are represented both as coordinate 4-vectors
 (x0, x1, x2, x3) and as 2x2 Hermitian matrices x0*E0 + x1*E1 + x2*E2 + x3*E3.
 Hyperbolic 3-space is the sheet {det = 1, trace > 0} of the unit timelike
 hyperquadric; SL(2,C) acts on it by g . A = g A g*.
+
+The batched 2x2 kernels (_mul, _det and the two pairings) are written
+out entry by entry on [..., i, j] slices; the frame, surface and Gauss-map
+modules use them instead of generic matmul, trace and inverse.
 """
 
 import numpy as np
@@ -42,18 +46,51 @@ def mink_from_herm(a):
     return np.stack(np.broadcast_arrays(x0, x1, x2, x3), axis=-1)
 
 
+def _entries(a):
+    """The four entries a00, a01, a10, a11 of a batch of 2x2 matrices."""
+    return a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
+
+
+def _pack(m00, m01, m10, m11):
+    """A batch of 2x2 matrices from its four (broadcastable) entries."""
+    shape = np.broadcast(m00, m01, m10, m11).shape
+    out = np.empty(shape + (2, 2), dtype=np.result_type(m00, m01, m10, m11))
+    out[..., 0, 0] = m00
+    out[..., 0, 1] = m01
+    out[..., 1, 0] = m10
+    out[..., 1, 1] = m11
+    return out
+
+
+def _mul(a, b):
+    """Batched 2x2 product a b, written out entry by entry."""
+    a00, a01, a10, a11 = _entries(a)
+    b00, b01, b10, b11 = _entries(b)
+    return _pack(
+        a00 * b00 + a01 * b10,
+        a00 * b01 + a01 * b11,
+        a10 * b00 + a11 * b10,
+        a10 * b01 + a11 * b11,
+    )
+
+
+def _det(a):
+    """Batched 2x2 determinant."""
+    a00, a01, a10, a11 = _entries(a)
+    return a00 * a11 - a01 * a10
+
+
 def mink_pairing(a, b):
     """Complex-bilinear extension of the Lorentz pairing, -(1/2) tr(a e2 b^T e2).
 
     Accepts batched arrays of shape (..., 2, 2). The transpose is the plain
     (non-conjugate) transpose; on Hermitian arguments the value is real and
-    equals the Minkowski inner product.
+    equals the Minkowski inner product. Since e2 b^T e2 = adj(b), this is the
+    polarised determinant -(1/2)(a00 b11 + a11 b00 - a01 b10 - a10 b01).
     """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    bt = np.swapaxes(b, -1, -2)
-    m = a @ E2 @ bt @ E2
-    return -0.5 * np.trace(m, axis1=-2, axis2=-1)
+    a00, a01, a10, a11 = _entries(np.asarray(a, dtype=complex))
+    b00, b01, b10, b11 = _entries(np.asarray(b, dtype=complex))
+    return -0.5 * (a00 * b11 + a11 * b00 - a01 * b10 - a10 * b01)
 
 
 def mink_inner(a, b):
@@ -88,11 +125,9 @@ def herm_from_mink_batch(v):
 
 def su11_pairing(a, b):
     """Killing pairing on su(1,1): (1/2) tr(ab), complex-bilinear, batched."""
-    return 0.5 * np.trace(
-        np.asarray(a, dtype=complex) @ np.asarray(b, dtype=complex),
-        axis1=-2,
-        axis2=-1,
-    )
+    a00, a01, a10, a11 = _entries(np.asarray(a, dtype=complex))
+    b00, b01, b10, b11 = _entries(np.asarray(b, dtype=complex))
+    return 0.5 * (a00 * b00 + a01 * b10 + a10 * b01 + a11 * b11)
 
 
 def su2_pairing(a, b):

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import gauss, gaussmap, lax, serialize, surface
 from . import qdiff as qd
-from .errors import CgcError
+from .errors import CgcError, ValidationError
 from .grid import Grid, window_mask
 from .report import VerifyReport, rms
 
@@ -44,14 +44,34 @@ def boundary_data(cfg, grid):
     if cfg.bc_mode == "umbilic-exact":
         return gauss.umbilic_seed(cfg.K, grid).u
     if cfg.bc_mode == "file":
-        data = np.loadtxt(cfg.bc_file, delimiter=",", skiprows=1)
-        u = np.full((grid.nx, grid.ny), np.nan)
-        for row in data:
-            u[int(row[0]), int(row[1])] = row[4]
-        if not np.all(np.isfinite(u)):
-            raise CgcError(f"boundary file {cfg.bc_file} does not cover the grid")
-        return u
+        return _load_bc_file(cfg.bc_file, grid)
     return None  # heuristic default inside solve_gauss
+
+
+def _load_bc_file(path, grid):
+    """Full-grid u from a table with the columns of u.csv (i, j, x, y, u)."""
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ValidationError("bc_file", f"cannot read {path}: {exc}") from None
+    if data.size == 0 or data.shape[1] != 5:
+        raise ValidationError(
+            "bc_file", f"{path} needs data rows of 5 columns (i,j,x,y,u)"
+        )
+    i, j = data[:, 0], data[:, 1]
+    on_grid = (i == np.floor(i)) & (j == np.floor(j))
+    on_grid &= (0 <= i) & (i < grid.nx) & (0 <= j) & (j < grid.ny)
+    if not np.all(on_grid):
+        raise ValidationError(
+            "bc_file", f"{path} has a node index outside the {grid.nx}x{grid.ny} grid"
+        )
+    u = np.full((grid.nx, grid.ny), np.nan)
+    u[i.astype(int), j.astype(int)] = data[:, 4]
+    if not np.all(np.isfinite(u)):
+        raise ValidationError(
+            "bc_file", f"{path} does not cover the {grid.nx}x{grid.ny} grid"
+        )
+    return u
 
 
 def solve_stage(cfg, grid):
@@ -63,12 +83,16 @@ def solve_stage(cfg, grid):
     return mf
 
 
-def _write(out_dir, name, text):
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
+def _write_file(path, text):
+    """Write text to path, creating its directory first."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w") as fh:
         fh.write(text)
     return path
+
+
+def _write(out_dir, name, text):
+    return _write_file(os.path.join(out_dir, name), text)
 
 
 def _write_report(rep, out_dir, name, report_path):
@@ -76,10 +100,7 @@ def _write_report(rep, out_dir, name, report_path):
     text = rep.render()
     paths = [_write(out_dir, name, text)]
     if report_path:
-        os.makedirs(os.path.dirname(report_path) or ".", exist_ok=True)
-        with open(report_path, "w") as fh:
-            fh.write(text)
-        paths.append(report_path)
+        paths.append(_write_file(report_path, text))
     return paths
 
 

@@ -13,7 +13,7 @@ from . import qdiff as qd
 from .errors import DegenerateMetric, HyperboloidDrift, NotInvariant
 from .grid import d_z, d_zbar, grad_x, grad_y
 from .lax import build_uv, integrate_frame
-from .minkowski import E1, mink_from_herm, mink_pairing
+from .minkowski import _det, _entries, _pack, mink_from_herm, mink_pairing
 
 MINK_J = np.diag([-1.0, 1.0, 1.0, 1.0])
 
@@ -30,12 +30,20 @@ class SurfaceData:
 
 
 def build_surface(frame, drift_tol=1e-6):
-    psi = frame.psi
-    pst = np.conj(np.swapaxes(psi, -1, -2))
-    f = psi @ pst
-    n = psi @ E1 @ pst
-    det_f = f[..., 0, 0] * f[..., 1, 1] - f[..., 0, 1] * f[..., 1, 0]
-    det_res = float(np.max(np.abs(det_f - 1.0)))
+    # f = Psi Psi* and n = Psi e1 Psi* from the entries of Psi = [[a, b], [c, d]],
+    # so both come out exactly Hermitian
+    a, b, c, d = _entries(frame.psi)
+    aa = a.real**2 + a.imag**2
+    bb = b.real**2 + b.imag**2
+    cc = c.real**2 + c.imag**2
+    dd = d.real**2 + d.imag**2
+    ac = a * np.conj(c)
+    bd = b * np.conj(d)
+    f01 = ac + bd
+    n01 = ac - bd
+    f = _pack(aa + bb, f01, np.conj(f01), cc + dd)
+    n = _pack(aa - bb, n01, np.conj(n01), cc - dd)
+    det_res = float(np.max(np.abs(_det(f) - 1.0)))
     if det_res > drift_tol:
         raise HyperboloidDrift(f"max |det f - 1| = {det_res:.3e}")
     nres = max(
@@ -92,24 +100,20 @@ def fundamental_forms_numeric(s, grid):
     )
 
 
-def _det2(m):
-    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-
-
 def curvature(forms, grid):
     """K = -1 + det II / det I from the numeric real-coordinate forms."""
-    det1 = _det2(forms.I_mat)
+    det1 = _det(forms.I_mat)
     interior = grid.interior()
     if np.any(det1[interior] <= 0):
         raise DegenerateMetric("det I <= 0 at an interior node")
     k = np.full(det1.shape, np.nan)
-    k[interior] = -1.0 + _det2(forms.II_mat)[interior] / det1[interior]
+    k[interior] = -1.0 + _det(forms.II_mat)[interior] / det1[interior]
     return k
 
 
 def mean_curvature(forms, grid):
     """H = (1/2) tr(I^{-1} II)."""
-    det1 = _det2(forms.I_mat)
+    det1 = _det(forms.I_mat)
     interior = grid.interior()
     if np.any(det1[interior] <= 0):
         raise DegenerateMetric("det I <= 0 at an interior node")

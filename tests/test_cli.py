@@ -235,3 +235,46 @@ def test_pipeline_outputs_deterministic(tmp_path):
         for p in os.listdir(tmp_path / "out")
     }
     assert first == second
+
+
+def test_cli_verify_report_into_missing_dir(tmp_path, monkeypatch):
+    rep = VerifyReport()
+    rep.add("a.ok", 0.5, 1.0)
+    monkeypatch.setattr("cgcsurf.cli.run_verify", lambda check_determinism: rep)
+    path = tmp_path / "missing_dir" / "r.txt"
+    res = CliRunner().invoke(main, ["verify", "--skip-determinism", "--report", str(path)])
+    assert res.exit_code == 0, res.output
+    assert path.read_text() == rep.render()
+
+
+def _bc_config(tmp_path, bc_text):
+    bc = tmp_path / "bc.csv"
+    if bc_text is not None:
+        bc.write_text(bc_text)
+    return _write_config(tmp_path, f'bc_mode = "file"\nbc_file = "{bc}"\n')
+
+
+def test_cli_bc_file_round_trip(tmp_path):
+    res = CliRunner().invoke(main, ["solve", "--config", _write_config(tmp_path)])
+    assert res.exit_code == 0, res.output
+    u_text = (tmp_path / "out" / "u.csv").read_text()
+    res = CliRunner().invoke(main, ["solve", "--config", _bc_config(tmp_path, u_text)])
+    assert res.exit_code == 0, res.output
+    assert (tmp_path / "out" / "u.csv").read_text() == u_text
+
+
+@pytest.mark.parametrize(
+    "bc_text,reason",
+    [
+        ("i,j,x,y,u\n0,0,0,0,1\n", "does not cover the 17x17 grid"),
+        (None, "cannot read"),
+        ("i,j,x,y,u\n17,0,0,0,1\n", "node index outside the 17x17 grid"),
+        ("i,j,x,y,u\n-1,0,0,0,1\n", "node index outside the 17x17 grid"),
+        ("i,j,x,y,u\n0,0,0,1\n", "5 columns"),
+    ],
+    ids=["one-row", "missing", "index-too-large", "index-negative", "short-row"],
+)
+def test_cli_rejects_bad_bc_file(tmp_path, bc_text, reason):
+    res = CliRunner().invoke(main, ["solve", "--config", _bc_config(tmp_path, bc_text)])
+    assert res.exit_code == 2, res.output
+    assert "bc_file:" in res.output and reason in res.output
