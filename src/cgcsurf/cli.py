@@ -39,14 +39,16 @@ def _load_config(config, out, lam, at_lambda0, grid):
 
 
 def _common(f):
-    f = click.option("--config", type=click.Path(exists=True), default=None)(f)
+    f = click.option(
+        "--config", type=click.Path(exists=True, dir_okay=False), default=None
+    )(f)
     f = click.option("--out", type=click.Path(), default=None)(f)
     f = click.option(
         "--lambda", "lam", multiple=True, help="spectral parameter RE,IM (repeatable)"
     )(f)
     f = click.option("--at-lambda0", is_flag=True, default=False)(f)
     f = click.option("--grid", type=int, default=None)(f)
-    f = click.option("--report", type=click.Path(), default=None)(f)
+    f = click.option("--report", type=click.Path(dir_okay=False), default=None)(f)
     return f
 
 
@@ -131,7 +133,7 @@ def converse(config, out, lam, at_lambda0, grid, report, seed):
 
 
 @main.command()
-@click.option("--report", type=click.Path(), default=None)
+@click.option("--report", type=click.Path(dir_okay=False), default=None)
 @click.option(
     "--skip-determinism",
     is_flag=True,
@@ -143,7 +145,11 @@ def verify(report, skip_determinism):
     rep = run_verify(check_determinism=not skip_determinism)
     text = rep.render()
     if report:
-        pipeline._write_file(report, text)
+        try:
+            pipeline._write_file(report, text)
+        except CgcError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(2)
     click.echo(text, nl=False)
     sys.exit(0 if rep.all_passed else 1)
 

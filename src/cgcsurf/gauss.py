@@ -2,8 +2,10 @@
 
 Solves the elliptic PDE  (1/4) lap(u) + (K/2)(e^u - |Q|^2 e^{-u}) = 0 on a
 rectangular grid with Dirichlet boundary data, by damped Newton iteration.
-Also provides the exact totally-umbilic seed solution and an independent 1-D
-two-point boundary value oracle for constant Q.
+Each Newton step is solved by conjugate gradients preconditioned with a fast
+sine transform (Concus & Golub, SIAM J. Numer. Anal. 1973), with a sparse LU
+fallback. Also provides the exact totally-umbilic seed solution and an
+independent 1-D two-point boundary value oracle for constant Q.
 """
 
 from dataclasses import dataclass, field
@@ -11,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.fft import dstn, idstn
 from scipy.integrate import solve_bvp
 
 from . import qdiff as qd
@@ -21,6 +24,8 @@ from .serialize import _grid_table
 RESIDUAL_TOL = 1e-10
 MAX_NEWTON_ITERS = 100
 MAX_HALVINGS = 30
+CG_RTOL = 1e-12
+CG_MAXITER = 50
 
 
 @dataclass(frozen=True)
@@ -104,6 +109,49 @@ def _interior_laplacian(grid):
     return (sp.kron(d1x, iy) + sp.kron(ix, d1y)).tocsr() / h2
 
 
+def _sine_solver(grid, c):
+    """Exact inverse of -(0.25 lap_h + c I) on interior nodes, by DST-I.
+
+    The sine modes diagonalise `_interior_laplacian(grid)`. Returns a
+    LinearOperator, or None when the operator is not negative definite
+    (possible only for c > 0).
+    """
+
+    def second_difference(n):
+        k = np.arange(1, n + 1)
+        return (2.0 * np.cos(np.pi * k / (n + 1)) - 2.0) / grid.h**2
+
+    shifted = c + 0.25 * (
+        second_difference(grid.nx - 2)[:, None]
+        + second_difference(grid.ny - 2)[None, :]
+    )
+    if shifted.max() >= 0.0:
+        return None
+
+    def solve(v):
+        w = dstn(v.reshape(shifted.shape), type=1, norm="ortho")
+        return -idstn(w / shifted, type=1, norm="ortho").ravel()
+
+    n = shifted.size
+    return spla.LinearOperator((n, n), matvec=solve, dtype=float)
+
+
+def _newton_step(neg_jac, r, precond):
+    """Solve neg_jac @ step = r, where neg_jac = -J is the negated Jacobian.
+
+    CG preconditioned by the sine solver `precond`; sparse LU when there is
+    none or CG does not converge. -J is symmetric positive definite for
+    K < 0, but need not be for K > 0.
+    """
+    if precond is not None:
+        step, info = spla.cg(
+            neg_jac, r, rtol=CG_RTOL, atol=0.0, maxiter=CG_MAXITER, M=precond
+        )
+        if info == 0:
+            return step
+    return spla.spsolve(neg_jac.tocsc(), r, permc_spec="MMD_AT_PLUS_A")
+
+
 def solve_gauss(q, K, grid, bc=None, tol=RESIDUAL_TOL, qs=None):
     """Damped Newton solve of the Gauss equation with Dirichlet data `bc`.
 
@@ -123,34 +171,41 @@ def solve_gauss(q, K, grid, bc=None, tol=RESIDUAL_TOL, qs=None):
     if not np.all(np.isfinite(u)):
         raise ValueError("non-finite boundary data")
 
-    lap = _interior_laplacian(grid)
+    neg_lap = -0.25 * _interior_laplacian(grid)
     absq2 = (np.abs(qs) ** 2)[1:-1, 1:-1].ravel()
 
     def residual(ufull):
-        return gauss_residual(MetricField(u=ufull, K=K), q, grid, qs=qs)
+        # a trial step may overflow exp(u) or the norm; it is then rejected
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = gauss_residual(MetricField(u=ufull, K=K), q, grid, qs=qs)
+            return r, np.linalg.norm(r)
 
-    r = residual(u)
-    rnorm = np.linalg.norm(r)
+    r, rnorm = residual(u)
     for _ in range(MAX_NEWTON_ITERS):
         if np.max(np.abs(r)) <= tol:
             break
         ui = u[1:-1, 1:-1].ravel()
         diag = 0.5 * K * (np.exp(ui) + absq2 * np.exp(-ui))
-        jac = 0.25 * lap + sp.diags(diag)
-        step = spla.spsolve(jac.tocsc(), -r[1:-1, 1:-1].ravel())
+        neg_jac = neg_lap - sp.diags(diag)
+        step = _newton_step(
+            neg_jac, r[1:-1, 1:-1].ravel(), _sine_solver(grid, float(np.mean(diag)))
+        )
         # Armijo backtracking on the residual 2-norm
         t = 1.0
+        overflowed = False
         for _ in range(MAX_HALVINGS):
             u_try = u.copy()
             u_try[1:-1, 1:-1] += t * step.reshape(grid.nx - 2, grid.ny - 2)
-            r_try = residual(u_try)
-            rnorm_try = np.linalg.norm(r_try)
-            if rnorm_try < (1.0 - 1e-4 * t) * rnorm:
+            r_try, rnorm_try = residual(u_try)
+            if not np.isfinite(rnorm_try):
+                overflowed = True
+            elif rnorm_try < (1.0 - 1e-4 * t) * rnorm:
                 break
             t *= 0.5
         else:
             raise NonConvergence(
                 f"line search failed at residual norm {rnorm:.3e}"
+                + (" (a trial step overflowed)" if overflowed else "")
             )
         u, r, rnorm = u_try, r_try, rnorm_try
     else:

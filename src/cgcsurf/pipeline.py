@@ -85,9 +85,12 @@ def solve_stage(cfg, grid):
 
 def _write_file(path, text):
     """Write text to path, creating its directory first."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(text)
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CgcError(f"cannot write {path}: {exc.strerror or exc}") from None
     return path
 
 

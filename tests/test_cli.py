@@ -247,6 +247,48 @@ def test_cli_verify_report_into_missing_dir(tmp_path, monkeypatch):
     assert path.read_text() == rep.render()
 
 
+def test_cli_verify_rejects_directory_report(tmp_path, monkeypatch):
+    def run_verify(check_determinism):
+        raise AssertionError("the suite ran before --report was checked")
+
+    monkeypatch.setattr("cgcsurf.cli.run_verify", run_verify)
+    res = CliRunner().invoke(main, ["verify", "--report", str(tmp_path)])
+    assert res.exit_code == 2, res.output
+    assert "is a directory" in res.output
+
+
+def test_cli_verify_unwritable_report_exits_2(tmp_path, monkeypatch):
+    rep = VerifyReport()
+    rep.add("a.ok", 0.5, 1.0)
+    monkeypatch.setattr("cgcsurf.cli.run_verify", lambda check_determinism: rep)
+    (tmp_path / "file").write_text("")
+    path = tmp_path / "file" / "r.txt"
+    args = ["verify", "--skip-determinism", "--report", str(path)]
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert f"cannot write {path}" in res.output
+
+
+def test_cli_solve_rejects_directory_report(tmp_path):
+    args = ["solve", "--grid", "9", "--out", str(tmp_path / "out")]
+    res = CliRunner().invoke(main, args + ["--report", str(tmp_path)])
+    assert res.exit_code == 2, res.output
+    assert "is a directory" in res.output
+
+
+def test_cli_solve_rejects_directory_config(tmp_path):
+    res = CliRunner().invoke(main, ["solve", "--config", str(tmp_path)])
+    assert res.exit_code == 2, res.output
+    assert "is a directory" in res.output
+
+
+def test_cli_solve_unwritable_artifact_exits_2(tmp_path):
+    (tmp_path / "out" / "u.csv").mkdir(parents=True)
+    res = CliRunner().invoke(main, ["solve", "--config", _write_config(tmp_path)])
+    assert res.exit_code == 2, res.output
+    assert f"cannot write {tmp_path / 'out' / 'u.csv'}" in res.output
+
+
 def _bc_config(tmp_path, bc_text):
     bc = tmp_path / "bc.csv"
     if bc_text is not None:
