@@ -7,6 +7,7 @@ pairs, lowest degree first.
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 from .errors import ParseError, ValidationError
@@ -90,8 +91,16 @@ def parse_config(text):
         except json.JSONDecodeError as exc:
             raise ParseError(f"line {lineno}: bad value for {key}: {exc}") from exc
         if key == "r":
+            try:
+                r = float(parsed)
+            except (TypeError, ValueError) as exc:
+                errors.append(f"r: {exc}")
+                continue
+            if not math.isfinite(r):
+                errors.append("r: must be finite")
+                continue
             # centered square inscribed in the radius-r disk (corner radius r)
-            a = float(parsed) / 2.0**0.5
+            a = r / 2.0**0.5
             cfg.x_min = cfg.y_min = -a
             cfg.x_max = cfg.y_max = a
             continue
@@ -108,6 +117,20 @@ def parse_config(text):
 
 def validate(cfg):
     errors = []
+    numbers = {
+        "K": [cfg.K],
+        "Q": [v for pair in cfg.q_coeffs for v in pair],
+        "x_min": [cfg.x_min],
+        "x_max": [cfg.x_max],
+        "y_min": [cfg.y_min],
+        "y_max": [cfg.y_max],
+        "lambdas": [v for pair in cfg.lambdas for v in pair],
+    }
+    for key, values in numbers.items():
+        if not all(map(math.isfinite, values)):
+            errors.append(f"{key}: must be finite")
+    if not (0.0 < cfg.gauss_tol < math.inf):
+        errors.append("gauss_tol: must be finite and > 0")
     if not (-1.0 < cfg.K < 0.0 or cfg.K > 0.0):
         errors.append("K: must lie in (-1,0) or (0,inf)")
     if cfg.n < 9:

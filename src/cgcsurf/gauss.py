@@ -247,4 +247,4 @@ def ode_oracle(c, K, x_range, bc, tol=1e-11, n_init=201):
 
 def metric_field_csv(mf, grid):
     """CSV serialization: header i,j,x,y,u, row-major, 17 significant digits."""
-    return _grid_table(grid, "i,j,x,y,u", "{:.17g}", [mf.u])
+    return _grid_table(grid, "i,j,x,y,u", "%.17g", [mf.u])

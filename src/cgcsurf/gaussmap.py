@@ -226,8 +226,8 @@ def gaussmap_csv(grid, images, target):
     """CSV of H^2 disk images (re, im) or S^2 unit vectors (s1, s2, s3)."""
     if target == "H2":
         return _grid_table(
-            grid, "i,j,x,y,re_w,im_w", "{:.17g},{:.17g}", [images.real, images.imag]
+            grid, "i,j,x,y,re_w,im_w", "%.17g,%.17g", [images.real, images.imag]
         )
     return _grid_table(
-        grid, "i,j,x,y,s1,s2,s3", "{:.17g},{:.17g},{:.17g}", np.moveaxis(images, -1, 0)
+        grid, "i,j,x,y,s1,s2,s3", "%.17g,%.17g,%.17g", np.moveaxis(images, -1, 0)
     )

@@ -238,7 +238,7 @@ def frame_csv(frame):
     a = frame.psi.reshape(shape + (4,))  # a11, a12, a21, a22
     parts = [part(a[..., k]) for k in range(4) for part in (np.real, np.imag)]
     return _table(
-        "{},{}" + ",{:.17g}" * 8,
+        "%d,%d" + ",%.17g" * 8,
         [*np.indices(shape), *parts],
         "i,j,re_a11,im_a11,re_a12,im_a12,re_a21,im_a21,re_a22,im_a22",
     )

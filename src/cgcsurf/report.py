@@ -2,6 +2,8 @@
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 @dataclass
 class Entry:
@@ -81,10 +83,12 @@ class VerifyReport:
 
 
 def rms(values):
-    """Root mean square with fixed serial summation order."""
-    total = 0.0
-    count = 0
-    for v in values.ravel():
-        total += float(v) * float(v)
-        count += 1
-    return (total / count) ** 0.5 if count else float("nan")
+    """Root mean square, summed strictly left to right: `np.add.accumulate`
+    adds in order, so the value is that of a serial loop, bit for bit."""
+    sq = np.ravel(values).astype(float)
+    if not sq.size:
+        return float("nan")
+    with np.errstate(over="ignore"):  # inf, silently, as with Python floats
+        np.multiply(sq, sq, out=sq)
+        total = float(np.add.accumulate(sq, out=sq)[-1])
+    return (total / sq.size) ** 0.5

@@ -8,8 +8,8 @@ from cgcsurf import lax, pipeline
 from cgcsurf.cli import main
 from cgcsurf.config import JobConfig, parse_config, validate
 from cgcsurf.errors import ParseError, ValidationError
-from cgcsurf.grid import window_mask
-from cgcsurf.report import VerifyReport
+from cgcsurf.grid import Grid, window_mask
+from cgcsurf.report import VerifyReport, rms
 
 MINIMAL = """
 K = -0.75
@@ -60,7 +60,8 @@ def test_parse_rejects_disk_overflow():
         parse_config('r = 1.2\ndomain = "unit-disk"')
 
 
-# JSON values of the wrong type, once coerced by bool() or int()
+# JSON values of the wrong type, once coerced by bool() or int(), or (r)
+# an uncaught TypeError
 LOOSE_TYPES = [
     ("at_lambda0", '"false"'),
     ("at_lambda0", "1"),
@@ -68,6 +69,7 @@ LOOSE_TYPES = [
     ("N", "65.0"),
     ("N", "true"),
     ("Ny", "65.7"),
+    ("r", "[0.5]"),
 ]
 
 
@@ -101,6 +103,30 @@ def test_report_render_stable_and_failing():
     assert text.endswith("overall = FAIL\n")
     assert rep.failing() == ["b.bad"]
     assert text == rep.render()
+
+
+def _serial_rms(values):
+    """The serial-loop definition that `rms` must match bit for bit."""
+    total = 0.0
+    count = 0
+    for v in values.ravel():
+        total += float(v) * float(v)
+        count += 1
+    return (total / count) ** 0.5 if count else float("nan")
+
+
+@pytest.mark.parametrize("size", [1, 7, 4097, 257 * 257])
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e5])
+def test_rms_equals_serial_loop(size, scale):
+    values = np.random.default_rng(size).standard_normal(size) * scale
+    assert rms(values) == _serial_rms(values)
+
+
+def test_rms_of_masked_field_and_empty():
+    grid = Grid.centered_square(0.5 / 2**0.5, 129)
+    field = np.random.default_rng(0).standard_normal((129, 129)) ** 2 * 1e-4
+    assert rms(field[window_mask(grid)]) == _serial_rms(field[window_mask(grid)])
+    assert np.isnan(rms(np.zeros(0))) and np.isnan(rms(np.zeros((0, 3))))
 
 
 def _write_config(tmp_path, extra=""):
@@ -320,3 +346,41 @@ def test_cli_rejects_bad_bc_file(tmp_path, bc_text, reason):
     res = CliRunner().invoke(main, ["solve", "--config", _bc_config(tmp_path, bc_text)])
     assert res.exit_code == 2, res.output
     assert "bc_file:" in res.output and reason in res.output
+
+
+# non-finite numbers parse as JSON (NaN, Infinity) and through float() in
+# --lambda; each must be a ValidationError naming its key, before any work
+NON_FINITE = [
+    ("K", "K = Infinity\n"),
+    ("Q", "Q = [[NaN, 0]]\n"),
+    ("Q", "Q = [[0, 0], [0, -Infinity]]\n"),
+    ("x_min", 'domain = "plane"\nx_min = -Infinity\nx_max = Infinity\n'),
+    ("y_max", "y_max = NaN\n"),
+    ("r", 'domain = "plane"\nr = Infinity\n'),
+    ("r", "r = NaN\n"),
+    ("lambdas", "lambdas = [[Infinity, 0]]\n"),
+    ("gauss_tol", "gauss_tol = -1\n"),
+    ("gauss_tol", "gauss_tol = 0\n"),
+    ("gauss_tol", "gauss_tol = NaN\n"),
+    ("gauss_tol", "gauss_tol = Infinity\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "key,extra", NON_FINITE, ids=[f"{k}-{e.split('= ')[-1].strip()}" for k, e in NON_FINITE]
+)
+def test_cli_rejects_non_finite_numbers(tmp_path, key, extra):
+    res = CliRunner().invoke(main, ["solve", "--config", _write_config(tmp_path, extra)])
+    assert res.exit_code == 2, res.output
+    assert f"error: {key}:" in res.output
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("lam", ["nan,0", "1,inf", "-inf"])
+def test_cli_rejects_non_finite_lambda(tmp_path, lam):
+    res = CliRunner().invoke(
+        main, ["frame", "--config", _write_config(tmp_path), "--lambda", lam]
+    )
+    assert res.exit_code == 2, res.output
+    assert "error: lambdas:" in res.output
+    assert not (tmp_path / "out").exists()
