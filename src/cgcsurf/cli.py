@@ -52,8 +52,25 @@ def _common(f):
     return f
 
 
-def _run(stages, config, out, lam, at_lambda0, grid, report):
+def _finish(run, report=None):
+    """Print the report that run() returns, writing it to `report` if given.
+
+    Exits 0 if every entry passed, 1 if one failed, 2 on a CgcError.
+    """
     try:
+        rep = run()
+        text = rep.render()
+        if report:
+            pipeline._write_file(report, text)
+    except CgcError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(2)
+    click.echo(text, nl=False)
+    sys.exit(0 if rep.all_passed else 1)
+
+
+def _run(stages, config, out, lam, at_lambda0, grid, report):
+    def run():
         cfg = _load_config(config, out, lam, at_lambda0, grid)
         if "family" in stages and len(cfg.lambdas) < 2:
             # the eighth roots of unity on the unit circle
@@ -61,12 +78,9 @@ def _run(stages, config, out, lam, at_lambda0, grid, report):
                 (float(np.cos(2 * np.pi * k / 8)), float(np.sin(2 * np.pi * k / 8)))
                 for k in range(8)
             )
-        rep, _ = pipeline.run_pipeline(cfg, stages=stages, report_path=report)
-    except CgcError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    click.echo(rep.render(), nl=False)
-    sys.exit(0 if rep.all_passed else 1)
+        return pipeline.run_pipeline(cfg, stages=stages, report_path=report)[0]
+
+    _finish(run)
 
 
 @click.group()
@@ -121,15 +135,13 @@ def gaussmap(config, out, lam, at_lambda0, grid, report):
 )
 def converse(config, out, lam, at_lambda0, grid, report, seed):
     """Rescale harmonic-map seed data into constant-curvature data."""
-    try:
+
+    def run():
         cfg = _load_config(config, out, lam, at_lambda0, grid)
         lam1 = cfg.lambda_values()[0] if lam else None
-        rep, _ = pipeline.run_converse(cfg, seed, lam1=lam1, report_path=report)
-    except CgcError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    click.echo(rep.render(), nl=False)
-    sys.exit(0 if rep.all_passed else 1)
+        return pipeline.run_converse(cfg, seed, lam1=lam1, report_path=report)[0]
+
+    _finish(run)
 
 
 @main.command()
@@ -142,16 +154,7 @@ def converse(config, out, lam, at_lambda0, grid, report, seed):
 )
 def verify(report, skip_determinism):
     """Run the full built-in fixture suite (no config needed)."""
-    rep = run_verify(check_determinism=not skip_determinism)
-    text = rep.render()
-    if report:
-        try:
-            pipeline._write_file(report, text)
-        except CgcError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
-    click.echo(text, nl=False)
-    sys.exit(0 if rep.all_passed else 1)
+    _finish(lambda: run_verify(check_determinism=not skip_determinism), report)
 
 
 def run_verify(check_determinism=True):

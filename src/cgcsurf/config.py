@@ -39,34 +39,46 @@ class JobConfig:
         return [complex(re, im) for re, im in self.lambdas]
 
 
-def _strict(kind, name):
-    """Converter that accepts only values of exactly this JSON type."""
+def _strict(name, *kinds):
+    """Converter that accepts only values of exactly these JSON types."""
 
     def conv(v):
-        if type(v) is not kind:  # bool is an int subclass; reject it for N
+        if type(v) not in kinds:  # bool is an int subclass; reject it for N
             raise TypeError(f"expected {name}, got {json.dumps(v)}")
         return v
 
     return conv
 
 
+_json_number = _strict("a number", int, float)
+
+
+def _number(v):
+    """A JSON int or float as a float; booleans and strings are rejected."""
+    return float(_json_number(v))
+
+
+def _pairs(v):
+    return tuple((_number(a), _number(b)) for a, b in v)
+
+
 _FIELD_PARSERS = {
-    "K": ("K", float),
-    "Q": ("q_coeffs", lambda v: tuple((float(a), float(b)) for a, b in v)),
+    "K": ("K", _number),
+    "Q": ("q_coeffs", _pairs),
     "domain": ("domain", str),
-    "x_min": ("x_min", float),
-    "x_max": ("x_max", float),
-    "y_min": ("y_min", float),
-    "y_max": ("y_max", float),
+    "x_min": ("x_min", _number),
+    "x_max": ("x_max", _number),
+    "y_min": ("y_min", _number),
+    "y_max": ("y_max", _number),
     "r": (None, None),  # shorthand for a centered square
-    "N": ("n", _strict(int, "an integer")),
-    "Ny": ("ny", _strict(int, "an integer")),
-    "lambdas": ("lambdas", lambda v: tuple((float(a), float(b)) for a, b in v)),
-    "at_lambda0": ("at_lambda0", _strict(bool, "true or false")),
+    "N": ("n", _strict("an integer", int)),
+    "Ny": ("ny", _strict("an integer", int)),
+    "lambdas": ("lambdas", _pairs),
+    "at_lambda0": ("at_lambda0", _strict("true or false", bool)),
     "bc_mode": ("bc_mode", str),
     "bc_file": ("bc_file", str),
     "out_dir": ("out_dir", str),
-    "gauss_tol": ("gauss_tol", float),
+    "gauss_tol": ("gauss_tol", _number),
 }
 
 
@@ -92,8 +104,8 @@ def parse_config(text):
             raise ParseError(f"line {lineno}: bad value for {key}: {exc}") from exc
         if key == "r":
             try:
-                r = float(parsed)
-            except (TypeError, ValueError) as exc:
+                r = _number(parsed)
+            except (TypeError, OverflowError) as exc:
                 errors.append(f"r: {exc}")
                 continue
             if not math.isfinite(r):
@@ -107,7 +119,7 @@ def parse_config(text):
         attr, conv = _FIELD_PARSERS[key]
         try:
             setattr(cfg, attr, conv(parsed))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             errors.append(f"{key}: {exc}")
     errors.extend(validate(cfg))
     if errors:

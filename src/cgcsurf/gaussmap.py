@@ -7,7 +7,7 @@ import numpy as np
 
 from . import qdiff as qd
 from .errors import OnUnitCircle, OutOfRange
-from .grid import d_z, d_zbar
+from .grid import d_z, d_zbar, window_mask
 from .lax import SU2, SU11, build_uv, compute_p
 from .minkowski import (
     _det,
@@ -60,11 +60,6 @@ class LagrangianMapField:
     lam: complex
     target: str = "generic"
 
-    @property
-    def square_residual(self):
-        sq = _mul(self.L, self.L) + np.eye(2)
-        return float(np.max(np.linalg.norm(sq, axis=(-2, -1))))
-
 
 def lagrangian_map(frame, target="generic"):
     # i Psi e1 adj(Psi) / det Psi, trace-free by construction
@@ -85,22 +80,15 @@ def project_sphere(lmap):
     return su2_sphere(lmap.L)
 
 
-def disk_jacobian(w, grid):
-    """|dz w|^2 - |dbar w|^2, nonvanishing iff z -> w is a local diffeomorphism."""
-    dw = d_z(w, grid)
-    dbw = d_zbar(w, grid)
-    return np.abs(dw) ** 2 - np.abs(dbw) ** 2
-
-
 @dataclass(frozen=True)
 class EnergyReport:
-    """Max interior residuals of the closed-form energy pairings of L."""
+    """Max window residuals of the closed-form energy pairings of L."""
 
     holomorphic_residual: float  # <dz L, dz L> vs -K e^{-2i theta} Q
     mixed_residual: float  # <dz L, dbar L> vs -/+ K (e^u + |Q|^2 e^{-u})/2
 
 
-def energy_check(lmap, mf, q, grid, theta=0.0, mask=None):
+def energy_check(lmap, mf, q, grid, theta=0.0):
     """Compare numeric Killing pairings of dL with the closed forms at lambda_0."""
     if lmap.target == "H2":
         pairing, mixed_sign = su11_pairing, -1.0
@@ -112,14 +100,14 @@ def energy_check(lmap, mf, q, grid, theta=0.0, mask=None):
     qv = np.asarray(qd.eval_q(q, grid.zmesh), dtype=complex)
     dl = d_z(lmap.L, grid)
     dbl = d_zbar(lmap.L, grid)
-    interior = grid.interior() if mask is None else mask
+    win = window_mask(grid, depth=1)
     holo = pairing(dl, dl) - (-k * np.exp(-2j * theta) * qv)
     mixed = pairing(dl, dbl) - mixed_sign * k * (
         np.exp(mf.u) + np.abs(qv) ** 2 * np.exp(-mf.u)
     ) / 2.0
     return EnergyReport(
-        holomorphic_residual=float(np.max(np.abs(holo[interior]))),
-        mixed_residual=float(np.max(np.abs(mixed[interior]))),
+        holomorphic_residual=float(np.max(np.abs(holo[win]))),
+        mixed_residual=float(np.max(np.abs(mixed[win]))),
     )
 
 
@@ -195,23 +183,6 @@ def converse_rescale(seed, lam1, grid=None):
     )
     assert abs(lambda0(K) - r) <= 1e-12 * (1.0 + r)
     return u, q, K
-
-
-@dataclass(frozen=True)
-class LegendrianMapField:
-    """Per-node pair (f, n) into the unit tangent bundle, with the tangency
-    residual max |<dz f, n>| as the computable stand-in for the Legendre
-    condition."""
-
-    f: np.ndarray
-    n: np.ndarray
-    tangency_residual: float
-
-
-def legendrian_map(s, grid):
-    return LegendrianMapField(
-        f=s.f, n=s.n, tangency_residual=legendrian_tangency(s, grid)
-    )
 
 
 def legendrian_tangency(s, grid):

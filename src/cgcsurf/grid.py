@@ -108,13 +108,16 @@ def laplacian5(f, grid):
     return out
 
 
-def window_mask(grid, frac=0.9):
+def window_mask(grid, frac=0.9, depth=0):
     """Fixed physical subdomain mask shared across refinements.
 
     Refinement ratios must compare errors over the same physical region; the
     depth-in-nodes interior masks shrink toward the corners as h decreases.
+    depth > 0 also drops the `depth` outer rings, where a differenced field
+    is not valid. This is the diagnostic window of `pipeline` and `verify`.
     """
     z = grid.zmesh
     bx = frac * max(abs(grid.x_min), abs(grid.x_max))
     by = frac * max(abs(grid.y_min), abs(grid.y_max))
-    return (np.abs(z.real) <= bx + 1e-12) & (np.abs(z.imag) <= by + 1e-12)
+    m = (np.abs(z.real) <= bx + 1e-12) & (np.abs(z.imag) <= by + 1e-12)
+    return m & grid.interior(depth) if depth else m

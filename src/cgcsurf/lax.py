@@ -45,7 +45,6 @@ class MaurerCartanData:
     V: np.ndarray
     lam: complex
     sigma: float
-    constant_curvature: bool = True
 
 
 def build_uv(mf, grid, q, lam, p=None, qs=None, du=None):
@@ -65,9 +64,6 @@ def build_uv(mf, grid, q, lam, p=None, qs=None, du=None):
         du = d_z(u, grid)
     if p is None:
         p = np.zeros_like(du)
-        constant = True
-    else:
-        constant = False
     X = (1.0 + sigma) / 2.0
     Y = (1.0 - sigma) / 2.0
     eu2 = np.exp(u / 2.0)
@@ -86,7 +82,7 @@ def build_uv(mf, grid, q, lam, p=None, qs=None, du=None):
     V[..., 1, 1] = dbcoef
     V[..., 0, 1] = 1j * Y * lam * np.conj(qs) * emu2
     V[..., 1, 0] = -1j * Y * lam * eu2
-    return MaurerCartanData(U=U, V=V, lam=lam, sigma=sigma, constant_curvature=constant)
+    return MaurerCartanData(U=U, V=V, lam=lam, sigma=sigma)
 
 
 def zero_curvature_residual(mc, grid):

@@ -29,11 +29,15 @@ _STRUCTURAL_TOL = 1e-8
 
 
 def herm_from_mink(v):
-    """Hermitian matrix of a coordinate 4-vector (x0, x1, x2, x3)."""
-    x0, x1, x2, x3 = v
-    return np.array(
-        [[x0 + x1, x3 - 1j * x2], [x3 + 1j * x2, x0 - x1]], dtype=complex
-    )
+    """Hermitian matrix of a coordinate 4-vector (x0, x1, x2, x3); batched over
+    the leading axes of an array of shape (..., 4)."""
+    v = np.asarray(v, dtype=float)
+    out = np.zeros(v.shape[:-1] + (2, 2), dtype=complex)
+    out[..., 0, 0] = v[..., 0] + v[..., 1]
+    out[..., 1, 1] = v[..., 0] - v[..., 1]
+    out[..., 0, 1] = v[..., 3] - 1j * v[..., 2]
+    out[..., 1, 0] = v[..., 3] + 1j * v[..., 2]
+    return out
 
 
 def mink_from_herm(a):
@@ -102,7 +106,7 @@ def to_poincare_ball(v, tol=_STRUCTURAL_TOL):
     """Project a hyperboloid point to Poincare ball coordinates b_i = x_i/(1+x0)."""
     v = np.asarray(v, dtype=float)
     x0 = v[..., 0]
-    a = herm_from_mink_batch(v)
+    a = herm_from_mink(v)
     resid = np.abs(mink_inner(a, a) + 1.0)
     scale = 1.0 + np.sum(v * v, axis=-1)
     if np.any(resid > tol * scale) or np.any(x0 <= 0):
@@ -110,17 +114,6 @@ def to_poincare_ball(v, tol=_STRUCTURAL_TOL):
             f"max hyperboloid residual {np.max(resid):.3e}, min x0 {np.min(x0):.3e}"
         )
     return v[..., 1:] / (1.0 + x0)[..., None]
-
-
-def herm_from_mink_batch(v):
-    """Batched herm_from_mink for arrays of shape (..., 4)."""
-    v = np.asarray(v, dtype=float)
-    out = np.zeros(v.shape[:-1] + (2, 2), dtype=complex)
-    out[..., 0, 0] = v[..., 0] + v[..., 1]
-    out[..., 1, 1] = v[..., 0] - v[..., 1]
-    out[..., 0, 1] = v[..., 3] - 1j * v[..., 2]
-    out[..., 1, 0] = v[..., 3] + 1j * v[..., 2]
-    return out
 
 
 def su11_pairing(a, b):

@@ -5,6 +5,7 @@ plain-text (CSV, OBJ, flat key-value report) and byte-stable across
 repeated runs of the same config.
 """
 
+import contextlib
 import os
 
 import numpy as np
@@ -16,19 +17,14 @@ from .grid import Grid, window_mask
 from .report import VerifyReport, rms
 
 
+@contextlib.contextmanager
 def _stage(name):
-    """Decorator-free stage wrapper: re-raise with the stage label attached."""
-
-    class _Ctx:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and isinstance(exc, CgcError):
-                exc.args = (f"stage {name}: {exc}",)
-            return False
-
-    return _Ctx()
+    """Re-raise a CgcError with the stage label attached."""
+    try:
+        yield
+    except CgcError as exc:
+        exc.args = (f"stage {name}: {exc}",)
+        raise
 
 
 def make_grid(cfg):
@@ -136,9 +132,9 @@ def run_pipeline(cfg, stages=("solve", "frame", "mesh", "gaussmap"), report_path
             lams.append(lam0)
 
     surfaces = {}
-    win = window_mask(grid)
     want_frames = any(s in stages for s in ("frame", "mesh", "family", "gaussmap"))
     if want_frames:
+        win = window_mask(grid)
         for lam in lams:
             tag = _lambda_tag(lam)
             with _stage(f"frame lam={lam}"):
@@ -174,28 +170,22 @@ def run_pipeline(cfg, stages=("solve", "frame", "mesh", "gaussmap"), report_path
             forms = surface.fundamental_forms_numeric(s, grid)
             k_num = surface.curvature(forms, grid)
             h_num = surface.mean_curvature(forms, grid)
-            interior = win & grid.interior()
             rep.add(
                 "curvature.max_error",
-                float(np.max(np.abs(k_num[interior] - cfg.K))),
+                surface.curvature_error(k_num, cfg.K, grid),
                 max(5e-3, h2),
             )
             rep.add(
                 "curvature.stddev_rel",
-                float(np.std(k_num[interior])) / abs(cfg.K),
+                float(np.std(k_num[window_mask(grid, depth=1)])) / abs(cfg.K),
                 1e-2,
             )
             rep.add(
                 "identity.three_forms",
-                surface.form_identity_residual(forms, k_num, h_num, grid, mask=interior),
+                surface.form_identity_residual(forms, k_num, h_num, grid),
                 h2,
             )
-            _, dbar_field = surface.klotz_recover(s, grid, field=True)
-            rep.add(
-                "klotz.dbar",
-                float(np.max(np.abs(dbar_field[win & grid.interior(2)]))),
-                h2,
-            )
+            rep.add("klotz.dbar", surface.klotz_dbar(forms.q_num, grid), h2)
             _, tension = gaussmap.harmonicity_residual(mf, grid, q=q)
             rep.add("harmonicity.tension", tension, h2)
             paths.append(
@@ -216,9 +206,7 @@ def run_pipeline(cfg, stages=("solve", "frame", "mesh", "gaussmap"), report_path
             dev = 0.0
             for l in unit[1:]:
                 fo = surface.fundamental_forms_numeric(surfaces[l], grid)
-                dev = max(
-                    dev, float(np.max(np.abs((fo.m_num - base.m_num)[interior])))
-                )
+                dev = max(dev, surface.ii_deviation(base, fo, grid))
             rep.add("family.ii_deviation", dev, h2)
         else:
             rep.skip("family.ii_deviation", "fewer than two unit-circle lambdas")
@@ -237,10 +225,7 @@ def run_pipeline(cfg, stages=("solve", "frame", "mesh", "gaussmap"), report_path
             lmap = gaussmap.lagrangian_map(
                 frame0, target="H2" if target == lax.SU11 else "S2"
             )
-            er = gaussmap.energy_check(
-                lmap, mf, q, grid, theta=0.0,
-                mask=win & grid.interior(),
-            )
+            er = gaussmap.energy_check(lmap, mf, q, grid, theta=0.0)
             rep.add("energy.holomorphic", er.holomorphic_residual, h2)
             rep.add("energy.mixed", er.mixed_residual, h2)
             if target == lax.SU11:

@@ -1,6 +1,6 @@
 """Holomorphic quadratic differentials Q dz^2 with polynomial coefficient."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,13 +14,11 @@ PLANE = "plane"
 class QDiff:
     """A quadratic differential Q dz^2 with polynomial Q, on the disk or plane.
 
-    Coefficients are stored lowest degree first. kind is derived from the
-    coefficients: "zero", "constant" or "polynomial".
+    Coefficients are stored lowest degree first.
     """
 
     coeffs: tuple = (0j,)
     domain: str = UNIT_DISK
-    kind: str = field(init=False)
 
     def __post_init__(self):
         coeffs = tuple(complex(c) for c in self.coeffs)
@@ -34,13 +32,6 @@ class QDiff:
         object.__setattr__(self, "coeffs", coeffs)
         if self.domain not in (UNIT_DISK, PLANE):
             raise ValueError(f"unknown domain {self.domain!r}")
-        if coeffs == (0j,):
-            kind = "zero"
-        elif len(coeffs) == 1:
-            kind = "constant"
-        else:
-            kind = "polynomial"
-        object.__setattr__(self, "kind", kind)
 
     @classmethod
     def zero(cls, domain=UNIT_DISK):
@@ -49,10 +40,6 @@ class QDiff:
     @classmethod
     def constant(cls, c, domain=UNIT_DISK):
         return cls((complex(c),), domain)
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
 
     def _check_domain(self, z):
         if self.domain == UNIT_DISK and np.any(np.abs(z) >= 1.0):
@@ -69,15 +56,6 @@ def eval_q(q, z):
     z = np.asarray(z, dtype=complex)
     q._check_domain(z)
     out = np.polynomial.polynomial.polyval(z, np.asarray(q.coeffs))
-    return out if out.shape else complex(out)
-
-
-def eval_dq(q, z):
-    """Evaluate dQ/dz at z."""
-    z = np.asarray(z, dtype=complex)
-    q._check_domain(z)
-    der = np.polynomial.polynomial.polyder(np.asarray(q.coeffs))
-    out = np.polynomial.polynomial.polyval(z, der)
     return out if out.shape else complex(out)
 
 

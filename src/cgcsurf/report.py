@@ -78,9 +78,6 @@ class VerifyReport:
         lines.append(f"overall = {'pass' if self.all_passed else 'FAIL'}")
         return "\n".join(lines) + "\n"
 
-    def failing(self):
-        return [e.name for e in self.entries if not (e.passed or e.skipped)]
-
 
 def rms(values):
     """Root mean square, summed strictly left to right: `np.add.accumulate`

@@ -1,7 +1,9 @@
 """Surface reconstruction from frames and curvature/form diagnostics.
 
 f = Psi e0 Psi*, n = Psi e1 Psi*. All numeric fundamental forms use centered
-differences; the boundary ring is excluded from diagnostics.
+differences; the boundary ring is excluded from diagnostics. The diagnostics
+that `pipeline` and `verify` both report are defined here once, each on the
+window of `grid.window_mask`.
 """
 
 from dataclasses import dataclass
@@ -11,7 +13,7 @@ from scipy.linalg import sqrtm
 
 from . import qdiff as qd
 from .errors import DegenerateMetric, HyperboloidDrift, NotInvariant
-from .grid import d_z, d_zbar, grad_x, grad_y
+from .grid import d_z, d_zbar, grad_x, grad_y, window_mask
 from .lax import build_uv, integrate_frame
 from .minkowski import _det, _entries, _pack, mink_from_herm, mink_pairing
 
@@ -68,15 +70,16 @@ class NumericForms:
 
 def fundamental_forms_numeric(s, grid):
     f, n = s.f, s.n
-    df = d_z(f, grid)
-    dbf = d_zbar(f, grid)
-    dn = d_z(n, grid)
+    fx, fy = grad_x(f, grid), grad_y(f, grid)
+    nx, ny = grad_x(n, grid), grad_y(n, grid)
+    # the Wirtinger derivatives of grid.d_z / grid.d_zbar, from fx, fy, nx, ny
+    df = 0.5 * (fx - 1j * fy)
+    dbf = 0.5 * (fx + 1j * fy)
+    dn = 0.5 * (nx - 1j * ny)
 
     q_num = mink_pairing(df, df)
     m_num = (-mink_pairing(dbf, dn)).real
 
-    fx, fy = grad_x(f, grid), grad_y(f, grid)
-    nx, ny = grad_x(n, grid), grad_y(n, grid)
     shape = f.shape[:2]
     I_mat = np.zeros(shape + (2, 2))
     II_mat = np.zeros(shape + (2, 2))
@@ -100,12 +103,18 @@ def fundamental_forms_numeric(s, grid):
     )
 
 
-def curvature(forms, grid):
-    """K = -1 + det II / det I from the numeric real-coordinate forms."""
+def _det_i(forms, grid):
+    """det I and the interior mask; raise if I degenerates at an interior node."""
     det1 = _det(forms.I_mat)
     interior = grid.interior()
     if np.any(det1[interior] <= 0):
         raise DegenerateMetric("det I <= 0 at an interior node")
+    return det1, interior
+
+
+def curvature(forms, grid):
+    """K = -1 + det II / det I from the numeric real-coordinate forms."""
+    det1, interior = _det_i(forms, grid)
     k = np.full(det1.shape, np.nan)
     k[interior] = -1.0 + _det(forms.II_mat)[interior] / det1[interior]
     return k
@@ -113,10 +122,7 @@ def curvature(forms, grid):
 
 def mean_curvature(forms, grid):
     """H = (1/2) tr(I^{-1} II)."""
-    det1 = _det(forms.I_mat)
-    interior = grid.interior()
-    if np.any(det1[interior] <= 0):
-        raise DegenerateMetric("det I <= 0 at an interior node")
+    det1, interior = _det_i(forms, grid)
     i, ii = forms.I_mat, forms.II_mat
     num = (
         i[..., 0, 0] * ii[..., 1, 1]
@@ -139,32 +145,41 @@ def printed_mean_curvature(mf, q, grid):
     return mf.sigma * (e2u + absq2) / (2.0 * (e2u - absq2))
 
 
-def form_identity_residual(forms, k_num, h_num, grid, mask=None):
-    """Max interior residual of III - 2 H II + (K+1) I (real 2x2 norm)."""
-    interior = grid.interior() if mask is None else mask
+def curvature_error(k_num, K, grid):
+    """Max |K_num - K| on the window."""
+    return float(np.max(np.abs(k_num[window_mask(grid, depth=1)] - K)))
+
+
+def form_identity_residual(forms, k_num, h_num, grid):
+    """Max window residual of III - 2 H II + (K+1) I (real 2x2 norm)."""
     r = (
         forms.III_mat
         - 2.0 * h_num[..., None, None] * forms.II_mat
         + (k_num + 1.0)[..., None, None] * forms.I_mat
     )
     norms = np.linalg.norm(r, axis=(-2, -1))
-    return float(np.max(norms[interior]))
+    return float(np.max(norms[window_mask(grid, depth=1)]))
 
 
-def klotz_recover(s, grid, field=False):
-    """Recovered Q_num = <df, df> and its discrete dbar residual.
+def klotz_dbar(q_num, grid):
+    """Max |dbar Q_num| on the window, two rings in: Q_num is already invalid
+    on the boundary ring, and differencing it costs one more."""
+    return float(np.max(np.abs(d_zbar(q_num, grid)[window_mask(grid, depth=2)])))
 
-    The dbar residual is evaluated on the depth-2 interior (differencing the
-    already one-ring-invalid Q_num field). field=True returns the full
-    residual array instead of its max.
-    """
+
+def ii_deviation(base, forms, grid):
+    """Max |II(forms) - II(base)| on the window, from the dz dzbar parts m_num."""
+    dev = np.abs(forms.m_num - base.m_num)
+    return float(np.max(dev[window_mask(grid, depth=1)]))
+
+
+def klotz_recover(s, grid):
+    """Recovered Q_num = <df, df> and its max discrete dbar residual on the
+    depth-2 interior (differencing the already one-ring-invalid Q_num field)."""
     df = d_z(s.f, grid)
     q_num = mink_pairing(df, df)
     dbar_q = d_zbar(q_num, grid)
-    if field:
-        return q_num, dbar_q
-    inner2 = grid.interior(depth=2)
-    return q_num, float(np.max(np.abs(dbar_q[inner2])))
+    return q_num, float(np.max(np.abs(dbar_q[grid.interior(depth=2)])))
 
 
 def associated_family(mf, grid, q, lam_count):
@@ -228,12 +243,12 @@ def radial_length(mf, q, grid, direction="+x", metric="weak"):
     return float(np.trapezoid(integrand, dx=grid.h))
 
 
-def _rotation_images(grid, n_fold):
-    """Rotated node coordinates and, when exact, the node permutation."""
-    w = np.exp(2j * np.pi / n_fold)
-    z = grid.zmesh
-    zr = w * z
-    # exact node mapping for half and quarter turns on a centered square grid
+def _node_permutation(grid, n_fold):
+    """The node permutation of the rotation z -> exp(2 pi i / n_fold) z.
+
+    Half and quarter turns of a centered square grid map nodes to nodes; any
+    other rotation does not, and raises ValueError.
+    """
     square = (
         abs(grid.x_min + grid.x_max) < 1e-14
         and abs(grid.y_min + grid.y_max) < 1e-14
@@ -242,18 +257,22 @@ def _rotation_images(grid, n_fold):
     )
     if square and n_fold == 2:
         # f(-z_{ij}) lives at node (nx-1-i, ny-1-j)
-        return zr, lambda a: a[::-1, ::-1]
+        return lambda a: a[::-1, ::-1]
     if square and n_fold == 4:
         # f(i z_{ij}) lives at node (nx-1-j, i)
-        return zr, lambda a: a[::-1, :].T
-    return zr, None
+        return lambda a: a[::-1, :].T
+    raise ValueError(
+        f"the {n_fold}-fold rotation does not map the nodes of a "
+        f"{grid.nx}x{grid.ny} grid to nodes"
+    )
 
 
-def equivariance_check(s, mf, q, grid, n_fold, tol=1e-10):
+def equivariance_check(s, mf, q, grid, n_fold):
     """Fit a Minkowski isometry rho with f(gamma z) = rho f(z); max residual.
 
     gamma is the rotation z -> exp(2 pi i / n_fold) z; requires the
-    differential to be gamma-invariant: Q(gamma z) gamma'^2 = Q(z).
+    differential to be gamma-invariant: Q(gamma z) gamma'^2 = Q(z), and gamma
+    to permute the grid nodes (a half or quarter turn of a centered square).
     """
     w = np.exp(2j * np.pi / n_fold)
     z = grid.zmesh
@@ -265,44 +284,15 @@ def equivariance_check(s, mf, q, grid, n_fold, tol=1e-10):
             f"Q dz^2 is not invariant under the {n_fold}-fold rotation"
         )
 
+    perm = _node_permutation(grid, n_fold)
     pts = mink_from_herm(s.f)
-    zr, perm = _rotation_images(grid, n_fold)
-    if perm is not None:
-        rotated = np.stack(
-            [perm(pts[..., k]) for k in range(4)], axis=-1
-        )
-        mask = np.ones(z.shape, dtype=bool)
-    else:
-        rotated, mask = _bilinear_rotate(pts, zr, grid)
-
-    a = pts[mask].reshape(-1, 4).T
-    b = rotated[mask].reshape(-1, 4).T
+    rotated = np.stack([perm(pts[..., k]) for k in range(4)], axis=-1)
+    a = pts.reshape(-1, 4).T
+    b = rotated.reshape(-1, 4).T
     rho = _mink_procrustes(a, b)
     fit = rho @ a - b
     resid = float(np.max(np.linalg.norm(fit, axis=0)))
     return resid, rho
-
-
-def _bilinear_rotate(pts, zr, grid):
-    xs, ys, h = grid.xs, grid.ys, grid.h
-    xi = (zr.real - xs[0]) / h
-    yi = (zr.imag - ys[0]) / h
-    mask = (xi >= 0) & (xi <= grid.nx - 1) & (yi >= 0) & (yi <= grid.ny - 1)
-    i0 = np.clip(np.floor(xi).astype(int), 0, grid.nx - 2)
-    j0 = np.clip(np.floor(yi).astype(int), 0, grid.ny - 2)
-    tx = np.clip(xi - i0, 0.0, 1.0)[..., None]
-    ty = np.clip(yi - j0, 0.0, 1.0)[..., None]
-    p00 = pts[i0, j0]
-    p10 = pts[i0 + 1, j0]
-    p01 = pts[i0, j0 + 1]
-    p11 = pts[i0 + 1, j0 + 1]
-    interp = (
-        (1 - tx) * (1 - ty) * p00
-        + tx * (1 - ty) * p10
-        + (1 - tx) * ty * p01
-        + tx * ty * p11
-    )
-    return interp, mask
 
 
 def _mink_procrustes(a, b):

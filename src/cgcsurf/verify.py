@@ -9,7 +9,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from . import gauss, gaussmap, lax, qdiff, surface
-from .grid import Grid, window_mask as _window
+from .grid import Grid, window_mask
 from .minkowski import (
     E0,
     E1,
@@ -30,6 +30,11 @@ LOOSE_DECAY = 2.5  # one-sided floor where only "O(h^2)" is claimed
 NEG_FLOOR = 1e-2
 
 Q_SLOPE = qdiff.QDiff((0j, 0.1 + 0j))  # Q(z) = z/10 on the unit disk
+Q_ZSQ = qdiff.QDiff((0j, 0j, 1.0 + 0j))  # Q = z^2, half-turn invariant
+
+# Q and K of the solved fixtures, all with heuristic boundary data; "pos" is
+# the best-effort positive branch
+SOLVED = {"slope": (Q_SLOPE, K_NEG), "pos": (Q_SLOPE, K_POS), "zsq": (Q_ZSQ, K_NEG)}
 
 
 class Fixtures:
@@ -52,33 +57,20 @@ class Fixtures:
             ("umbilic", r, n), lambda: gauss.umbilic_seed(K_NEG, self.grid(r, n))
         )
 
-    def solved_slope(self, n, r=0.5):
-        """Solved field for Q = z/10, K = -3/4, heuristic boundary data."""
-
-        def make():
-            return gauss.solve_gauss(Q_SLOPE, K_NEG, self.grid(r, n))
-
-        return self._get(("slope", r, n), make)
-
-    def solved_pos(self, n=65, r=0.2):
-        """Solved field for Q = z/10, K = 3 (best-effort positive branch)."""
-
-        def make():
-            return gauss.solve_gauss(Q_SLOPE, K_POS, self.grid(r, n))
-
-        return self._get(("pos", r, n), make)
+    def solved(self, key, n, r=0.5):
+        """Solved field of the SOLVED fixture `key` on [-r, r]^2."""
+        q, k = SOLVED[key]
+        return self._get(
+            (key, r, n), lambda: gauss.solve_gauss(q, k, self.grid(r, n))
+        )
 
     def frame(self, mf_key, q, lam, n, r=0.5, order="rows-first"):
         def make():
             grid = self.grid(r, n)
             if mf_key == "umbilic":
                 mf = self.umbilic(r, n)
-            elif mf_key == "slope":
-                mf = self.solved_slope(n, r)
-            elif mf_key == "pos":
-                mf = self.solved_pos(n, r)
             else:
-                raise KeyError(mf_key)
+                mf = self.solved(mf_key, n, r)
             mc = lax.build_uv(mf, grid, q, lam)
             return lax.integrate_frame(mc, grid, order=order)
 
@@ -162,10 +154,10 @@ def check_flatness(rep, fx):
             maxres = []
             for n in (33, 65, 129):
                 grid = fx.grid(0.5, n)
-                mf = fx.umbilic(0.5, n) if key == "umbilic" else fx.solved_slope(n)
+                mf = fx.umbilic(0.5, n) if key == "umbilic" else fx.solved("slope", n)
                 mc = lax.build_uv(mf, grid, q, lam)
                 r = lax.zero_curvature_residual(mc, grid)
-                maxres.append(float(np.max(r[_window(grid)])))
+                maxres.append(float(np.max(r[window_mask(grid)])))
             ratio = min(maxres[0] / maxres[1], maxres[1] / maxres[2])
             lo, hi = DECAY_RANGE
             rep.add(
@@ -254,7 +246,7 @@ def check_reality(rep, fx):
     # positive-curvature branch, K = 3, sigma = 2: same modulus sqrt(3)
     lam0p = gaussmap.lambda0(K_POS)
     grid_p = fx.grid(0.2, 65)
-    mf_p = fx.solved_pos()
+    mf_p = fx.solved("pos", 65, r=0.2)
     mcp = lax.build_uv(mf_p, grid_p, Q_SLOPE, lam0p)
     rep.add("reality.su2_at_lam0", lax.reality_residual(mcp, lax.SU2), 1e-10)
     frp = fx.frame("pos", Q_SLOPE, lam0p, 65, r=0.2)
@@ -302,10 +294,9 @@ def check_curvature_constancy(rep, fx):
             s = _surface_for(fx, key, q, 1.0, n)
             forms = surface.fundamental_forms_numeric(s, grid)
             k_num = surface.curvature(forms, grid)
-            interior = grid.interior()
-            win = _window(grid) & interior
-            errs.append(float(np.max(np.abs(k_num[win] - K_NEG))))
+            errs.append(surface.curvature_error(k_num, K_NEG, grid))
             if n == 129:
+                interior = grid.interior()
                 std = float(np.std(k_num[interior]))
                 rep.add(
                     f"curvature.{name}_max_error_n129",
@@ -328,11 +319,11 @@ def check_klotz(rep, fx):
     for n in (65, 129):
         grid = fx.grid(0.5, n)
         s = _surface_for(fx, "slope", Q_SLOPE, 1.0, n)
-        q_num, dbar_field = surface.klotz_recover(s, grid, field=True)
+        q_num, _ = surface.klotz_recover(s, grid)
         q_in = qdiff.eval_q(Q_SLOPE, grid.zmesh)
-        win = _window(grid)
-        qerrs.append(float(np.max(np.abs((q_num - q_in)[win & grid.interior()]))))
-        dbars.append(float(np.max(np.abs(dbar_field[win & grid.interior(2)]))))
+        win = window_mask(grid, depth=1)
+        qerrs.append(float(np.max(np.abs((q_num - q_in)[win]))))
+        dbars.append(surface.klotz_dbar(q_num, grid))
     _add_small_or_decaying(rep, "klotz.match_decay", qerrs)
     _add_small_or_decaying(rep, "klotz.dbar_decay", dbars)
     grid = fx.grid(0.5, 65)
@@ -345,29 +336,21 @@ def check_associated_family(rep, fx):
     devs_ii, devs_q, devs_k = [], [], []
     for n in (65, 129):
         grid = fx.grid(0.5, n)
-        mf = fx.solved_slope(n)
+        mf = fx.solved("slope", n)
         q_in = qdiff.eval_q(Q_SLOPE, grid.zmesh)
-        interior = _window(grid) & grid.interior()
+        win = window_mask(grid, depth=1)
         members = surface.associated_family(mf, grid, Q_SLOPE, 8)
         base_forms = surface.fundamental_forms_numeric(members[0], grid)
         dev_ii = dev_q = dev_k = 0.0
         for k, s in enumerate(members):
             lam = np.exp(2j * np.pi * k / 8)
             forms = surface.fundamental_forms_numeric(s, grid)
-            dev_ii = max(
-                dev_ii,
-                float(
-                    np.max(
-                        np.abs((forms.m_num - base_forms.m_num)[interior])
-                    )
-                ),
-            )
+            dev_ii = max(dev_ii, surface.ii_deviation(base_forms, forms, grid))
             dev_q = max(
-                dev_q,
-                float(np.max(np.abs((forms.q_num - lam**-2 * q_in)[interior]))),
+                dev_q, float(np.max(np.abs((forms.q_num - lam**-2 * q_in)[win])))
             )
             k_num = surface.curvature(forms, grid)
-            dev_k = max(dev_k, float(np.max(np.abs(k_num[interior] - K_NEG))))
+            dev_k = max(dev_k, surface.curvature_error(k_num, K_NEG, grid))
         devs_ii.append(dev_ii)
         devs_q.append(dev_q)
         devs_k.append(dev_k)
@@ -384,11 +367,7 @@ def check_form_identity(rep, fx):
         forms = surface.fundamental_forms_numeric(s, grid)
         k_num = surface.curvature(forms, grid)
         h_num = surface.mean_curvature(forms, grid)
-        resids.append(
-            surface.form_identity_residual(
-                forms, k_num, h_num, grid, mask=_window(grid) & grid.interior()
-            )
-        )
+        resids.append(surface.form_identity_residual(forms, k_num, h_num, grid))
     _add_small_or_decaying(rep, "identity.three_forms_decay", resids)
     # the printed alternative closed form disagrees by a factor ~2 at Q = 0
     grid = fx.grid(0.5, 65)
@@ -413,14 +392,11 @@ def check_energy(rep, fx):
         holo, mixed = [], []
         for n in (65, 129):
             grid = fx.grid(0.5, n)
-            mf = fx.solved_slope(n)
+            mf = fx.solved("slope", n)
             lam = lam0 * np.exp(1j * theta)
             frame = fx.frame("slope", Q_SLOPE, lam, n)
             lmap = gaussmap.lagrangian_map(frame, target="H2")
-            er = gaussmap.energy_check(
-                lmap, mf, Q_SLOPE, grid, theta=theta,
-                mask=_window(grid) & grid.interior(),
-            )
+            er = gaussmap.energy_check(lmap, mf, Q_SLOPE, grid, theta=theta)
             holo.append(er.holomorphic_residual)
             mixed.append(er.mixed_residual)
         tname = f"theta_{theta:.3g}".replace(".", "p")
@@ -445,7 +421,7 @@ def check_harmonicity(rep, fx):
     tensions = []
     for n in (65, 129):
         grid = fx.grid(0.5, n)
-        mf = fx.solved_slope(n)
+        mf = fx.solved("slope", n)
         _, tension = gaussmap.harmonicity_residual(mf, grid, q=Q_SLOPE)
         tensions.append(tension)
     ratio = tensions[0] / tensions[1]
@@ -471,11 +447,11 @@ def check_weak_metric(rep, fx):
     resids = []
     for n in (65, 129):
         grid = fx.grid(0.5, n)
-        mf = fx.solved_slope(n)
+        mf = fx.solved("slope", n)
         s = _surface_for(fx, "slope", Q_SLOPE, 1.0, n)
         closed = surface.weak_metric(mf, Q_SLOPE, grid)
         numeric = surface.weak_metric_numeric(s, K_NEG, grid)
-        win = _window(grid) & grid.interior()
+        win = window_mask(grid, depth=1)
         resids.append(float(np.max(np.abs((closed - numeric)[win]))))
     _add_small_or_decaying(rep, "weakmetric.closed_vs_numeric_decay", resids)
     # radial lengths on expanding umbilic grids against the closed form
@@ -519,7 +495,6 @@ def _add_small_or_decaying(rep, name, vals, floor=1e-8):
 
 
 def check_equivariance(rep, fx):
-    q2 = qdiff.QDiff((0j, 0j, 1.0 + 0j))  # Q = z^2, half-turn invariant
     res4, res2 = [], []
     for n in (65, 129):
         grid = fx.grid(0.5, n)
@@ -528,15 +503,8 @@ def check_equivariance(rep, fx):
         s = _surface_for(fx, "umbilic", qdiff.QDiff.zero(), 1.0, n)
         r, _ = surface.equivariance_check(s, mf, qdiff.QDiff.zero(), grid, 4)
         res4.append(r)
-
-        def make():
-            return gauss.solve_gauss(q2, K_NEG, grid)
-
-        mf2 = fx._get(("zsq", 0.5, n), make)
-        mc = lax.build_uv(mf2, grid, q2, 1.0)
-        frame = lax.integrate_frame(mc, grid)
-        s2 = surface.build_surface(frame)
-        r, _ = surface.equivariance_check(s2, mf2, q2, grid, 2)
+        s2 = _surface_for(fx, "zsq", Q_ZSQ, 1.0, n)
+        r, _ = surface.equivariance_check(s2, fx.solved("zsq", n), Q_ZSQ, grid, 2)
         res2.append(r)
     _add_small_or_decaying(rep, "equivariance.umbilic_4fold", res4)
     _add_small_or_decaying(rep, "equivariance.zsq_2fold", res2)

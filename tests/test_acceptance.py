@@ -7,6 +7,9 @@ single pass/fail line.
 
 import pytest
 
+from cgcsurf.config import JobConfig
+from cgcsurf.gaussmap import lambda0
+from cgcsurf.pipeline import _lambda_tag, run_pipeline
 from cgcsurf.verify import run_all
 
 
@@ -116,3 +119,28 @@ def test_supplementary_checks(reports):
         reports[0], 16, "equivariance and tangency diagnostics",
         ["equivariance.", "legendre."],
     )
+
+
+def test_pipeline_and_verify_agree(reports, tmp_path):
+    """On verify's n = 129 Q = z/10 fixture, each diagnostic that both report
+    is one computation: the pipeline's max equals the verify entry's rms."""
+    cfg = JobConfig(
+        K=-0.75, q_coeffs=((0.0, 0.0), (0.1, 0.0)),
+        x_min=-0.5, x_max=0.5, y_min=-0.5, y_max=0.5, n=129,
+        lambdas=((1.0, 0.0), (0.0, 1.0)), at_lambda0=True, out_dir=str(tmp_path),
+    )
+    rep, _ = run_pipeline(cfg, stages=("solve", "gaussmap"))
+    pairs = {
+        "curvature.max_error": "curvature.slope_decay",
+        "identity.three_forms": "identity.three_forms_decay",
+        "klotz.dbar": "klotz.dbar_decay",
+        "harmonicity.tension": "harmonicity.holomorphic_decay",
+        "energy.holomorphic": "energy.holo_decay_theta_0",
+        "energy.mixed": "energy.mixed_decay_theta_0",
+    }
+    for lam, name in ((1.0, "1"), (1j, "i"), (lambda0(-0.75), "lam0")):
+        tag = _lambda_tag(complex(lam))
+        pairs[f"flatness.lam_{tag}"] = f"flatness.decay_slope_lam{name}"
+    got = {e.name: e.max_value for e in rep.entries}
+    want = {e.name: e.rms_value for e in reports[0].entries}
+    assert {p: got[p] for p in pairs} == {p: want[v] for p, v in pairs.items()}

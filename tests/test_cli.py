@@ -26,7 +26,7 @@ def test_parse_minimal_config():
     # r is the bounding-disk radius: the square is inscribed in it
     assert cfg.x_min == pytest.approx(-0.8 / 2**0.5)
     assert cfg.y_max == pytest.approx(0.8 / 2**0.5)
-    assert cfg.qdiff().kind == "zero"
+    assert cfg.qdiff().coeffs == (0j,)
 
 
 def test_parse_rejects_bad_k():
@@ -60,8 +60,9 @@ def test_parse_rejects_disk_overflow():
         parse_config('r = 1.2\ndomain = "unit-disk"')
 
 
-# JSON values of the wrong type, once coerced by bool() or int(), or (r)
-# an uncaught TypeError
+# JSON values of the wrong type, once coerced by bool(), int() or float(),
+# or (r = [0.5]) an uncaught TypeError; r = false was rejected under the
+# rectangle's key instead of r
 LOOSE_TYPES = [
     ("at_lambda0", '"false"'),
     ("at_lambda0", "1"),
@@ -70,6 +71,14 @@ LOOSE_TYPES = [
     ("N", "true"),
     ("Ny", "65.7"),
     ("r", "[0.5]"),
+    ("K", "true"),
+    ("K", '"0.5"'),
+    ("gauss_tol", "true"),
+    ("Q", "[[true, 0]]"),
+    ("lambdas", '[["1", 0]]'),
+    ("x_min", "false"),
+    ("r", "true"),
+    ("r", "false"),
 ]
 
 
@@ -84,6 +93,18 @@ def test_parse_keeps_strict_types():
     cfg = parse_config("at_lambda0 = false\nN = 33\nNy = 33")
     assert cfg.at_lambda0 is False
     assert cfg.n == 33 and cfg.ny == 33
+    cfg = parse_config("K = 3\nQ = [[0, 1]]\nlambdas = [[1, 0.5]]\ngauss_tol = 1e-8")
+    assert cfg.K == 3.0 and type(cfg.K) is float
+    assert cfg.q_coeffs == ((0.0, 1.0),) and cfg.lambdas == ((1.0, 0.5),)
+    assert cfg.gauss_tol == 1e-8
+
+
+@pytest.mark.parametrize("key", ["K", "r"])
+def test_parse_rejects_integer_beyond_float(key):
+    # float() of a 401-digit JSON integer raised an uncaught OverflowError
+    with pytest.raises(ValidationError) as exc:
+        parse_config(f"{key} = 1{'0' * 400}")
+    assert exc.value.key == key
 
 
 def test_bc_file_mode_requires_path():
@@ -101,7 +122,8 @@ def test_report_render_stable_and_failing():
     assert "b.bad.status = FAIL" in text
     assert "c.skipped.status = skipped" in text
     assert text.endswith("overall = FAIL\n")
-    assert rep.failing() == ["b.bad"]
+    failing = [e.name for e in rep.entries if not (e.passed or e.skipped)]
+    assert failing == ["b.bad"]
     assert text == rep.render()
 
 

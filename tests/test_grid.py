@@ -51,3 +51,13 @@ def test_window_mask_fixed_region():
     w1, w2 = window_mask(g1), window_mask(g2)
     # the coarse-grid window nodes are a subset of the fine-grid window nodes
     assert np.all(w2[::2, ::2][w1])
+
+
+def test_window_mask_depth_drops_boundary_rings():
+    # the window of a rectangle off the origin reaches its boundary ring
+    g = Grid(0.0, 0.5, -0.25, 0.25, 17, 17)
+    assert window_mask(g)[0].any()
+    for depth in (1, 2):
+        win = window_mask(g, depth=depth)
+        assert np.array_equal(win, window_mask(g) & g.interior(depth))
+        assert not win[:depth].any()

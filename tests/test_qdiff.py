@@ -3,26 +3,19 @@ import pytest
 
 from cgcsurf.errors import OutOfDomain
 from cgcsurf.grid import Grid
-from cgcsurf.qdiff import PLANE, QDiff, eval_dq, eval_q, poincare_sup
-
-
-def test_kind_derivation():
-    assert QDiff.zero().kind == "zero"
-    assert QDiff.constant(2.0).kind == "constant"
-    assert QDiff((0j, 1.0 + 0j)).kind == "polynomial"
+from cgcsurf.qdiff import PLANE, QDiff, eval_q, poincare_sup
 
 
 def test_trailing_zeros_stripped():
     q = QDiff((1.0 + 0j, 0j, 0j))
     assert q.coeffs == (1.0 + 0j,)
-    assert q.kind == "constant"
+    assert QDiff((0j, 0j)).coeffs == QDiff.zero().coeffs == (0j,)
 
 
 def test_eval_polynomial():
     q = QDiff((1.0 + 0j, 2.0 + 0j, 3.0 + 0j), PLANE)
     z = 0.5 + 0.25j
     assert eval_q(q, z) == pytest.approx(1.0 + 2.0 * z + 3.0 * z**2)
-    assert eval_dq(q, z) == pytest.approx(2.0 + 6.0 * z)
 
 
 def test_disk_domain_enforced():

@@ -24,7 +24,7 @@ from cgcsurf.gauss import MetricField, metric_field_csv
 from cgcsurf.gaussmap import gaussmap_csv
 from cgcsurf.grid import Grid
 from cgcsurf.lax import FrameField, frame_csv
-from cgcsurf.minkowski import herm_from_mink_batch
+from cgcsurf.minkowski import herm_from_mink
 from cgcsurf.serialize import (
     _CHUNK,
     _grid_table,
@@ -72,7 +72,7 @@ def _inputs(nx, ny):
     # hyperboloid points x0 = sqrt(1 + |x|^2) (sqrt is exactly rounded)
     x = np.stack([a, b, a * b], axis=-1)
     v = np.concatenate([np.sqrt(1.0 + np.sum(x * x, axis=-1))[..., None], x], axis=-1)
-    f = herm_from_mink_batch(v)
+    f = herm_from_mink(v)
     surf = SurfaceData(f=f, n=f, lam=1.0, det_residual=0.0, normal_residual=0.0)
     k_num = -0.75 + a * b / 1e9
     k_num[0, :] = k_num[-1, :] = k_num[:, 0] = k_num[:, -1] = np.nan
@@ -304,6 +304,6 @@ def test_surface_obj_matches_format_oracle(shape, scale, seed):
     # hyperboloid points x0 = sqrt(1 + |x|^2), so the ball projection accepts them
     x = np.random.default_rng(seed).standard_normal(shape + (3,)) * scale
     v = np.concatenate([np.sqrt(1.0 + np.sum(x * x, axis=-1))[..., None], x], axis=-1)
-    f = herm_from_mink_batch(v)
+    f = herm_from_mink(v)
     surf = SurfaceData(f=f, n=f, lam=1.0, det_residual=0.0, normal_residual=0.0)
     assert surface_obj(surf) == _format_surface_obj(surf)
