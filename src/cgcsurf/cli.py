@@ -6,8 +6,8 @@ import click
 import numpy as np
 
 from . import pipeline
-from .config import JobConfig, parse_config, validate
-from .errors import CgcError, ValidationError
+from .config import JobConfig, parse_config, require_valid
+from .errors import CgcError
 
 
 def _load_config(config, out, lam, at_lambda0, grid):
@@ -32,9 +32,7 @@ def _load_config(config, out, lam, at_lambda0, grid):
     if grid:
         cfg.n = grid
         cfg.ny = 0
-    errors = validate(cfg)
-    if errors:
-        raise ValidationError(errors[0].split(":")[0], "; ".join(errors))
+    require_valid(cfg)
     return cfg
 
 

@@ -121,10 +121,17 @@ def parse_config(text):
             setattr(cfg, attr, conv(parsed))
         except (TypeError, ValueError, OverflowError) as exc:
             errors.append(f"{key}: {exc}")
-    errors.extend(validate(cfg))
-    if errors:
-        raise ValidationError(errors[0].split(":")[0], "; ".join(errors))
+    require_valid(cfg, errors)
     return cfg
+
+
+def require_valid(cfg, errors=()):
+    """Raise one ValidationError for `errors` and the problems `validate`
+    finds; each "key: problem" keeps its key once."""
+    errors = [*errors, *validate(cfg)]
+    if errors:
+        key, _, first = errors[0].partition(": ")
+        raise ValidationError(key, "; ".join([first, *errors[1:]]))
 
 
 def validate(cfg):

@@ -3,9 +3,9 @@
 Solves the elliptic PDE  (1/4) lap(u) + (K/2)(e^u - |Q|^2 e^{-u}) = 0 on a
 rectangular grid with Dirichlet boundary data, by damped Newton iteration.
 Each Newton step is solved by conjugate gradients preconditioned with a fast
-sine transform (Concus & Golub, SIAM J. Numer. Anal. 1973), with a sparse LU
-fallback. Also provides the exact totally-umbilic seed solution and an
-independent 1-D two-point boundary value oracle for constant Q.
+sine transform (Concus & Golub, SIAM J. Numer. Anal. 1973). Also provides
+the exact totally-umbilic seed solution and an independent 1-D two-point
+boundary value oracle for constant Q.
 """
 
 from dataclasses import dataclass, field
@@ -139,20 +139,26 @@ def _sine_solver(grid, c):
 def _newton_step(neg_jac, r, precond):
     """Solve neg_jac @ step = r, where neg_jac = -J is the negated Jacobian.
 
-    CG preconditioned by the sine solver `precond`; sparse LU when there is
-    none or CG does not converge. -J is symmetric positive definite for
-    K < 0, but need not be for K > 0.
+    CG preconditioned by the sine solver `precond`. -J is symmetric positive
+    definite for K < 0, but need not be for K > 0; a step CG cannot take
+    ends the solve.
     """
-    if precond is not None:
-        step, info = spla.cg(
-            neg_jac, r, rtol=CG_RTOL, atol=0.0, maxiter=CG_MAXITER, M=precond
+    if precond is None:
+        raise NonConvergence(
+            "Newton step: the sine preconditioner -(lap_h/4 + mean(d)) "
+            "is not positive definite"
         )
-        if info == 0:
-            return step
-    return spla.spsolve(neg_jac.tocsc(), r, permc_spec="MMD_AT_PLUS_A")
+    step, info = spla.cg(
+        neg_jac, r, rtol=CG_RTOL, atol=0.0, maxiter=CG_MAXITER, M=precond
+    )
+    if info != 0:
+        raise NonConvergence(
+            f"Newton step: preconditioned CG did not converge (info = {info})"
+        )
+    return step
 
 
-def solve_gauss(q, K, grid, bc=None, tol=RESIDUAL_TOL, qs=None):
+def solve_gauss(q, K, grid, bc=None, tol=RESIDUAL_TOL):
     """Damped Newton solve of the Gauss equation with Dirichlet data `bc`.
 
     bc is a full-grid array whose boundary ring supplies the Dirichlet data
@@ -160,8 +166,7 @@ def solve_gauss(q, K, grid, bc=None, tol=RESIDUAL_TOL, qs=None):
     """
     if not (-1.0 < K < 0.0 or K > 0.0):
         raise ValueError(f"K = {K} outside (-1,0) u (0,inf)")
-    if qs is None:
-        qs = q_samples(q, grid)
+    qs = q_samples(q, grid)
     if bc is None:
         u = default_boundary(q, K, grid)
     else:
@@ -219,7 +224,7 @@ def solve_gauss(q, K, grid, bc=None, tol=RESIDUAL_TOL, qs=None):
     return mf
 
 
-def ode_oracle(c, K, x_range, bc, tol=1e-11, n_init=201):
+def ode_oracle(c, K, x_range, bc):
     """Independent 1-D oracle: (1/4) u'' + (K/2)(e^u - c^2 e^{-u}) = 0.
 
     Solves the two-point boundary value problem on x_range = (a, b) with
@@ -237,9 +242,9 @@ def ode_oracle(c, K, x_range, bc, tol=1e-11, n_init=201):
     def bcres(ya, yb):
         return np.array([ya[0] - ua, yb[0] - ub])
 
-    x0 = np.linspace(a, b, n_init)
-    y0 = np.vstack([np.linspace(ua, ub, n_init), np.zeros(n_init)])
-    sol = solve_bvp(rhs, bcres, x0, y0, tol=tol, max_nodes=200000)
+    x0 = np.linspace(a, b, 201)
+    y0 = np.vstack([np.linspace(ua, ub, x0.size), np.zeros(x0.size)])
+    sol = solve_bvp(rhs, bcres, x0, y0, tol=1e-11, max_nodes=200000)
     if not sol.success or np.max(sol.rms_residuals) > 1e-10:
         raise NonConvergence(f"BVP oracle did not converge: {sol.message}")
     return sol

@@ -57,7 +57,6 @@ class LagrangianMapField:
     """Per-node L = i Psi e1 Psi^{-1}; trace-free with L^2 = -id."""
 
     L: np.ndarray
-    lam: complex
     target: str = "generic"
 
 
@@ -67,7 +66,7 @@ def lagrangian_map(frame, target="generic"):
     s = 1j / _det(frame.psi)
     ad_bc = s * (a * d + b * c)
     l = _pack(ad_bc, -2.0 * s * a * b, 2.0 * s * c * d, -ad_bc)
-    return LagrangianMapField(L=l, lam=frame.lam, target=target)
+    return LagrangianMapField(L=l, target=target)
 
 
 def project_disk(lmap):
@@ -118,7 +117,7 @@ def _off(m):
     return out
 
 
-def harmonicity_residual(mf, grid, q=None, qs=None, lam=1.0):
+def harmonicity_residual(mf, grid, q=None, qs=None):
     """Max interior norms of the two harmonicity conditions on alpha.
 
     Returns (torsion, tension): the off-diagonal part of
@@ -130,7 +129,7 @@ def harmonicity_residual(mf, grid, q=None, qs=None, lam=1.0):
         p = None
     else:
         p = compute_p(mf, qs, grid)
-    mc = build_uv(mf, grid, None, lam, p=p, qs=qs)
+    mc = build_uv(mf, grid, None, 1.0, p=p, qs=qs)
     off_u = _off(mc.U)
     off_v = _off(mc.V)
 

@@ -109,7 +109,8 @@ def laplacian5(f, grid):
 
 
 def window_mask(grid, frac=0.9, depth=0):
-    """Fixed physical subdomain mask shared across refinements.
+    """The central `frac` of the rectangle: a fixed physical subdomain mask,
+    about the rectangle's centre, shared across refinements.
 
     Refinement ratios must compare errors over the same physical region; the
     depth-in-nodes interior masks shrink toward the corners as h decreases.
@@ -117,7 +118,8 @@ def window_mask(grid, frac=0.9, depth=0):
     is not valid. This is the diagnostic window of `pipeline` and `verify`.
     """
     z = grid.zmesh
-    bx = frac * max(abs(grid.x_min), abs(grid.x_max))
-    by = frac * max(abs(grid.y_min), abs(grid.y_max))
-    m = (np.abs(z.real) <= bx + 1e-12) & (np.abs(z.imag) <= by + 1e-12)
+    cx, cy = 0.5 * (grid.x_min + grid.x_max), 0.5 * (grid.y_min + grid.y_max)
+    bx = frac * (0.5 * (grid.x_max - grid.x_min))
+    by = frac * (0.5 * (grid.y_max - grid.y_min))
+    m = (np.abs(z.real - cx) <= bx + 1e-12) & (np.abs(z.imag - cy) <= by + 1e-12)
     return m & grid.interior(depth) if depth else m

@@ -43,11 +43,9 @@ class MaurerCartanData:
 
     U: np.ndarray
     V: np.ndarray
-    lam: complex
-    sigma: float
 
 
-def build_uv(mf, grid, q, lam, p=None, qs=None, du=None):
+def build_uv(mf, grid, q, lam, p=None, qs=None):
     """Assemble U, V over the grid. p = None means the p = 0 curvature family.
 
     q may be a QDiff (sampled analytically) or None with explicit `qs` samples;
@@ -60,8 +58,7 @@ def build_uv(mf, grid, q, lam, p=None, qs=None, du=None):
         qs = np.asarray(qd.eval_q(q, grid.zmesh), dtype=complex)
     u = mf.u
     sigma = mf.sigma
-    if du is None:
-        du = d_z(u, grid)
+    du = d_z(u, grid)
     if p is None:
         p = np.zeros_like(du)
     X = (1.0 + sigma) / 2.0
@@ -82,7 +79,7 @@ def build_uv(mf, grid, q, lam, p=None, qs=None, du=None):
     V[..., 1, 1] = dbcoef
     V[..., 0, 1] = 1j * Y * lam * np.conj(qs) * emu2
     V[..., 1, 0] = -1j * Y * lam * eu2
-    return MaurerCartanData(U=U, V=V, lam=lam, sigma=sigma)
+    return MaurerCartanData(U=U, V=V)
 
 
 def zero_curvature_residual(mc, grid):
@@ -119,10 +116,7 @@ class FrameField:
     """Frame samples Psi over the grid at a fixed spectral parameter."""
 
     psi: np.ndarray
-    lam: complex
-    base_index: tuple
     det_drift: float
-    order: str = "rows-first"
 
     @property
     def drift_warning(self):
@@ -147,69 +141,45 @@ def _renorm(psi):
     return psi, drift
 
 
+def _sweep(psi, a, k0, h):
+    """RK4 along axis 0 from slice k0 to both ends, in place and batched over
+    any further axes; returns the max det drift of the steps."""
+    drift = 0.0
+    for stop, s in ((psi.shape[0] - 1, 1), (0, -1)):
+        for k in range(k0, stop, s):
+            p, d = _renorm(_rk4_step(psi[k], a[k], a[k + s], s * h))
+            drift = max(drift, d)
+            psi[k + s] = p
+    return drift
+
+
 def integrate_frame(mc, grid, order="rows-first"):
     """Integrate Psi over the grid from the base node, RK4 with step h.
 
     rows-first: integrate along the base row through z*, then along each
     column. columns-first swaps the roles (a path-dependence diagnostic).
     """
-    h = grid.h
     ax = mc.U + mc.V  # Psi_x = Psi (U + V)
     ay = 1j * (mc.U - mc.V)  # Psi_y = i Psi (U - V)
-    i0, j0 = grid.base_index
     psi = np.zeros_like(mc.U)
-    drift = 0.0
-
-    if order == "columns-first":
-        first_axis, second_axis = 1, 0
-        a_first, a_second = ay, ax
-        k0_first, k0_second = j0, i0
-    elif order == "rows-first":
-        first_axis, second_axis = 0, 1
-        a_first, a_second = ax, ay
-        k0_first, k0_second = i0, j0
+    # columns-first is rows-first on the transposed grid
+    if order == "rows-first":
+        view, a_first, a_second = psi, ax, ay
+        k0, l0 = grid.base_index
+    elif order == "columns-first":
+        view, a_first, a_second = (t.swapaxes(0, 1) for t in (psi, ay, ax))
+        l0, k0 = grid.base_index
     else:
         raise ValueError(f"unknown order {order!r}")
-
-    # walk the base line through z* along the first axis (sequential 2x2 steps)
-    def line_index(k):
-        return (k, j0) if first_axis == 0 else (i0, k)
-
-    n_first = mc.U.shape[first_axis]
-    psi[line_index(k0_first)] = np.eye(2, dtype=complex)
-    for k in range(k0_first, n_first - 1):
-        p = _rk4_step(psi[line_index(k)], a_first[line_index(k)], a_first[line_index(k + 1)], h)
-        p, d = _renorm(p)
-        drift = max(drift, d)
-        psi[line_index(k + 1)] = p
-    for k in range(k0_first, 0, -1):
-        p = _rk4_step(psi[line_index(k)], a_first[line_index(k)], a_first[line_index(k - 1)], -h)
-        p, d = _renorm(p)
-        drift = max(drift, d)
-        psi[line_index(k - 1)] = p
-
-    # advance all transverse lines simultaneously (batched 2x2 products)
-    n_second = mc.U.shape[second_axis]
-    a2 = np.moveaxis(a_second, second_axis, 0)
-    psi_m = np.moveaxis(psi, second_axis, 0)
-    for k in range(k0_second, n_second - 1):
-        p = _rk4_step(psi_m[k], a2[k], a2[k + 1], h)
-        p, d = _renorm(p)
-        drift = max(drift, d)
-        psi_m[k + 1] = p
-    for k in range(k0_second, 0, -1):
-        p = _rk4_step(psi_m[k], a2[k], a2[k - 1], -h)
-        p, d = _renorm(p)
-        drift = max(drift, d)
-        psi_m[k - 1] = p
-
-    return FrameField(
-        psi=psi,
-        lam=mc.lam,
-        base_index=(i0, j0),
-        det_drift=drift,
-        order=order,
+    view[k0, l0] = np.eye(2, dtype=complex)
+    # the base line through z* (sequential 2x2 steps), then all transverse
+    # lines at once (batched 2x2 products)
+    drift = _sweep(view[:, l0], a_first[:, l0], k0, grid.h)
+    drift = max(
+        drift,
+        _sweep(view.swapaxes(0, 1), a_second.swapaxes(0, 1), l0, grid.h),
     )
+    return FrameField(psi=psi, det_drift=drift)
 
 
 def frame_unitarity_residual(frame, target):

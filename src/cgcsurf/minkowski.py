@@ -26,6 +26,7 @@ EHAT2 = np.array([[0.0, 1.0j], [0.0, 0.0]], dtype=complex)
 EHAT3 = np.array([[0.0, 0.0], [-1.0j, 0.0]], dtype=complex)
 
 _STRUCTURAL_TOL = 1e-8
+_ORBIT_TOL = 1e-6
 
 
 def herm_from_mink(v):
@@ -102,14 +103,14 @@ def mink_inner(a, b):
     return mink_pairing(a, b).real
 
 
-def to_poincare_ball(v, tol=_STRUCTURAL_TOL):
+def to_poincare_ball(v):
     """Project a hyperboloid point to Poincare ball coordinates b_i = x_i/(1+x0)."""
     v = np.asarray(v, dtype=float)
     x0 = v[..., 0]
     a = herm_from_mink(v)
     resid = np.abs(mink_inner(a, a) + 1.0)
     scale = 1.0 + np.sum(v * v, axis=-1)
-    if np.any(resid > tol * scale) or np.any(x0 <= 0):
+    if np.any(resid > _STRUCTURAL_TOL * scale) or np.any(x0 <= 0):
         raise NotOnHyperboloid(
             f"max hyperboloid residual {np.max(resid):.3e}, min x0 {np.min(x0):.3e}"
         )
@@ -128,7 +129,7 @@ def su2_pairing(a, b):
     return -su11_pairing(a, b)
 
 
-def su11_disk(l, tol=1e-6):
+def su11_disk(l):
     """Map a point on the SU(1,1)-adjoint orbit of i*e1 to the unit disk.
 
     Decomposes l = x0*(i e1) + x1*e2 + x2*e3 via the Killing pairing and
@@ -144,14 +145,10 @@ def su11_disk(l, tol=1e-6):
         + x1[..., None, None] * E2
         + x2[..., None, None] * E3
     )
-    scale = 1.0 + np.max(np.abs(l), axis=(-2, -1)) ** 2
+    bound = _ORBIT_TOL * (1.0 + np.max(np.abs(l), axis=(-2, -1)) ** 2)
     recon_resid = np.max(np.abs(l - recon), axis=(-2, -1))
     orbit_resid = np.abs(su11_pairing(l, l) + 1.0)
-    if (
-        np.any(recon_resid > tol * scale)
-        or np.any(orbit_resid > tol * scale)
-        or np.any(x0 <= 0)
-    ):
+    if np.any(recon_resid > bound) or np.any(orbit_resid > bound) or np.any(x0 <= 0):
         raise NotOnOrbit(
             "not on the su(1,1) orbit of i*e1: "
             f"orbit residual {np.max(orbit_resid):.3e}, "
@@ -160,7 +157,7 @@ def su11_disk(l, tol=1e-6):
     return (x1 + 1j * x2) / (1.0 + x0)
 
 
-def su2_sphere(l, tol=1e-6):
+def su2_sphere(l):
     """Coefficients of l in the basis {i e1, i e2, i e3}; a unit 3-vector."""
     l = np.asarray(l, dtype=complex)
     comps = [su2_pairing(l, 1j * e) for e in (E1, E2, E3)]
@@ -169,10 +166,10 @@ def su2_sphere(l, tol=1e-6):
         c[..., None, None] * (1j * e)
         for c, e in zip(np.moveaxis(s, -1, 0), (E1, E2, E3))
     )
-    scale = 1.0 + np.max(np.abs(l), axis=(-2, -1)) ** 2
+    bound = _ORBIT_TOL * (1.0 + np.max(np.abs(l), axis=(-2, -1)) ** 2)
     recon_resid = np.max(np.abs(l - recon), axis=(-2, -1))
     orbit_resid = np.abs(su2_pairing(l, l) - 1.0)
-    if np.any(recon_resid > tol * scale) or np.any(orbit_resid > tol * scale):
+    if np.any(recon_resid > bound) or np.any(orbit_resid > bound):
         raise NotOnOrbit(
             "not on the su(2) orbit of i*e1: "
             f"orbit residual {np.max(orbit_resid):.3e}, "

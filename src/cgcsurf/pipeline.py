@@ -279,7 +279,7 @@ def run_converse(cfg, seed_name, lam1=None, report_path=None):
     rep.meta["degenerate_balance"] = "yes" if degenerate else "no"
     paths = [_write(cfg.out_dir, "converse_u.csv", gauss.metric_field_csv(mf, grid))]
     if degenerate:
-        length = surface.radial_length(mf, q_new, grid, "+x", metric="weak")
+        length = surface.radial_length(mf, q_new, grid, metric="weak")
         rep.add(
             "converse.degenerate_radial_length",
             0.0 if np.isfinite(length) else 1.0,

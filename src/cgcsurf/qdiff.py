@@ -47,9 +47,6 @@ class QDiff:
                 f"|z| = {np.max(np.abs(z)):.6g} outside the open unit disk"
             )
 
-    def __call__(self, z):
-        return eval_q(self, z)
-
 
 def eval_q(q, z):
     """Evaluate Q at z (scalar or array)."""

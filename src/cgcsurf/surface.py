@@ -26,12 +26,9 @@ class SurfaceData:
 
     f: np.ndarray
     n: np.ndarray
-    lam: complex
-    det_residual: float
-    normal_residual: float
 
 
-def build_surface(frame, drift_tol=1e-6):
+def build_surface(frame):
     # f = Psi Psi* and n = Psi e1 Psi* from the entries of Psi = [[a, b], [c, d]],
     # so both come out exactly Hermitian
     a, b, c, d = _entries(frame.psi)
@@ -46,15 +43,9 @@ def build_surface(frame, drift_tol=1e-6):
     f = _pack(aa + bb, f01, np.conj(f01), cc + dd)
     n = _pack(aa - bb, n01, np.conj(n01), cc - dd)
     det_res = float(np.max(np.abs(_det(f) - 1.0)))
-    if det_res > drift_tol:
+    if det_res > 1e-6:
         raise HyperboloidDrift(f"max |det f - 1| = {det_res:.3e}")
-    nres = max(
-        float(np.max(np.abs(mink_pairing(f, n)))),
-        float(np.max(np.abs(mink_pairing(n, n) - 1.0))),
-    )
-    return SurfaceData(
-        f=f, n=n, lam=frame.lam, det_residual=det_res, normal_residual=nres
-    )
+    return SurfaceData(f=f, n=n)
 
 
 @dataclass(frozen=True)
@@ -213,31 +204,20 @@ def weak_metric_numeric(s, k, grid):
     )
 
 
-_DIRECTIONS = {"+x": (1, 0), "-x": (-1, 0), "+y": (0, 1), "-y": (0, -1)}
-
-
-def radial_length(mf, q, grid, direction="+x", metric="weak"):
-    """Trapezoidal length of the grid ray from z* to the boundary.
+def radial_length(mf, q, grid, metric="weak"):
+    """Trapezoidal length of the grid ray from z* to the boundary along +x.
 
     metric = "weak" integrates sqrt(2 (e^u + |Q|^2 e^{-u})) |dz|; metric =
     "conformal" integrates e^{u/2} |dz| (the metric e^u dz dzbar whose
     completeness is equivalent to weak completeness).
     """
-    if direction not in _DIRECTIONS:
-        raise ValueError(f"direction must be one of {sorted(_DIRECTIONS)}")
-    di, dj = _DIRECTIONS[direction]
-    i, j = grid.base_index
-    idx = []
-    while 0 <= i < grid.nx and 0 <= j < grid.ny:
-        idx.append((i, j))
-        i, j = i + di, j + dj
-    ii = np.array([t[0] for t in idx])
-    jj = np.array([t[1] for t in idx])
+    i0, j0 = grid.base_index
+    u = mf.u[i0:, j0]
     if metric == "weak":
-        absq2 = np.abs(qd.eval_q(q, grid.zmesh[ii, jj])) ** 2
-        integrand = np.sqrt(2.0 * (np.exp(mf.u[ii, jj]) + absq2 * np.exp(-mf.u[ii, jj])))
+        absq2 = np.abs(qd.eval_q(q, grid.zmesh[i0:, j0])) ** 2
+        integrand = np.sqrt(2.0 * (np.exp(u) + absq2 * np.exp(-u)))
     elif metric == "conformal":
-        integrand = np.exp(mf.u[ii, jj] / 2.0)
+        integrand = np.exp(u / 2.0)
     else:
         raise ValueError(f"unknown metric {metric!r}")
     return float(np.trapezoid(integrand, dx=grid.h))

@@ -277,10 +277,7 @@ def _perturbed_surface(fx, n=65):
     g[..., 0, 1] = np.sin(amp)
     g[..., 1, 0] = -np.sin(amp)
     gs = np.conj(np.swapaxes(g, -1, -2))
-    return surface.SurfaceData(
-        f=g @ s.f @ gs, n=g @ s.n @ gs, lam=s.lam, det_residual=0.0,
-        normal_residual=0.0,
-    )
+    return surface.SurfaceData(f=g @ s.f @ gs, n=g @ s.n @ gs)
 
 
 def check_curvature_constancy(rep, fx):
@@ -464,10 +461,8 @@ def check_weak_metric(rep, fx):
         h = 2.0 * r / 128.0
         grid = Grid(-r, r, -4.0 * h, 4.0 * h, 129, 9)
         mf = gauss.umbilic_seed(K_NEG, grid)
-        lc = surface.radial_length(
-            mf, qdiff.QDiff.zero(), grid, "+x", metric="conformal"
-        )
-        lw = surface.radial_length(mf, qdiff.QDiff.zero(), grid, "+x", metric="weak")
+        lc = surface.radial_length(mf, qdiff.QDiff.zero(), grid, metric="conformal")
+        lw = surface.radial_length(mf, qdiff.QDiff.zero(), grid, metric="weak")
         exact = 2.0 / np.sqrt(abs(K_NEG)) * np.arctanh(r)
         worst = max(worst, abs(lc - exact) / exact)
         sqrt2_link = max(sqrt2_link, abs(lw - np.sqrt(2.0) * lc) / lw)
@@ -520,10 +515,7 @@ def check_tangency(rep, fx):
     grid = fx.grid(0.5, 65)
     sp = _perturbed_surface(fx)
     # a non-normal direction field breaks tangency
-    sp_bad = surface.SurfaceData(
-        f=sp.f, n=np.roll(sp.n, 3, axis=0), lam=sp.lam,
-        det_residual=0.0, normal_residual=0.0,
-    )
+    sp_bad = surface.SurfaceData(f=sp.f, n=np.roll(sp.n, 3, axis=0))
     rep.add_bound_below(
         "legendre.negative_control",
         gaussmap.legendrian_tangency(sp_bad, grid),

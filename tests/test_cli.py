@@ -195,6 +195,22 @@ def test_cli_rejects_bad_config(tmp_path):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "extra,args,line",
+    [
+        ("K = -1.5\nN = 8\n", [], "K: must lie in (-1,0) or (0,inf); N: must be >= 9"),
+        ("", ["--grid", "8"], "N: must be >= 9"),
+    ],
+    ids=["config", "grid-flag"],
+)
+def test_cli_config_error_names_each_key_once(tmp_path, extra, args, line):
+    res = CliRunner().invoke(
+        main, ["solve", "--config", _write_config(tmp_path, extra), *args]
+    )
+    assert res.exit_code == 2
+    assert res.stderr == f"error: {line}\n"
+
+
 @pytest.mark.parametrize("key,value", LOOSE_TYPES)
 def test_cli_rejects_loose_types(tmp_path, key, value):
     res = CliRunner().invoke(

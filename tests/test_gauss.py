@@ -111,37 +111,32 @@ def test_pcg_step_matches_sparse_lu_step():
     assert np.linalg.norm(step - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
-def test_positive_curvature_falls_back_to_sparse_lu(monkeypatch):
-    # on [-0.6, 0.6]^2 the sine operator -(lap/4 + mean(d)) is never definite
-    calls = []
-    spsolve = spla.spsolve
+@pytest.mark.parametrize("r,n", [(0.6, 33), (0.5, 17)])
+def test_positive_curvature_without_preconditioner_stops(monkeypatch, r, n):
+    # on these squares the sine operator -(lap/4 + mean(d)) loses definiteness
+    # (on [-0.6, 0.6]^2 at the first step); the solve stops there, with no
+    # sparse LU fallback
+    def no_spsolve(*args, **kwargs):
+        raise AssertionError("the Newton step fell back to a sparse LU solve")
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("permc_spec"))
-        return spsolve(*args, **kwargs)
-
-    def no_cg(*args, **kwargs):
-        raise AssertionError("CG ran without a definite preconditioner")
-
-    monkeypatch.setattr(gauss.spla, "spsolve", counted)
-    monkeypatch.setattr(gauss.spla, "cg", no_cg)
-    with pytest.raises(NonConvergence, match="residual norm 1.549e"):
-        solve_gauss(QDiff((0j, 0.1 + 0j)), 3.0, Grid.centered_square(0.6, 33))
-    assert calls == ["MMD_AT_PLUS_A"] * 8
+    monkeypatch.setattr(gauss.spla, "spsolve", no_spsolve)
+    with pytest.raises(NonConvergence, match="sine preconditioner"):
+        solve_gauss(QDiff((0j, 0.1 + 0j)), 3.0, Grid.centered_square(r, n))
 
 
 def test_line_search_rejects_overflow_without_warnings():
+    # just past the K = 3 turning point near half-side 0.379
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonConvergence, match="overflowed"):
-            solve_gauss(QDiff((0j, 0.1 + 0j)), 3.0, Grid.centered_square(0.5, 17))
+            solve_gauss(QDiff((0j, 0.1 + 0j)), 3.0, Grid.centered_square(0.38, 33))
 
 
 def test_umbilic_solve_error_at_n129():
     grid = Grid.centered_square(0.5, 129)
     seed = umbilic_seed(K, grid)
     mf = solve_gauss(QDiff.zero(), K, grid, bc=seed.u)
-    # the O(h^2) discretisation error: 1.99e-5 with the sparse LU step
+    # the O(h^2) discretisation error: 1.99e-5
     assert np.max(np.abs(mf.u - seed.u)) <= 2.0e-5
 
 

@@ -53,11 +53,18 @@ def test_window_mask_fixed_region():
     assert np.all(w2[::2, ::2][w1])
 
 
-def test_window_mask_depth_drops_boundary_rings():
-    # the window of a rectangle off the origin reaches its boundary ring
+def test_window_mask_centred_on_rectangle():
+    # a rectangle off the origin gets the window of its centred translate,
+    # which keeps clear of both x edges
     g = Grid(0.0, 0.5, -0.25, 0.25, 17, 17)
-    assert window_mask(g)[0].any()
+    win = window_mask(g)
+    assert np.array_equal(win, window_mask(Grid.centered_square(0.25, 17)))
+    assert not win[0].any() and not win[-1].any()
+
+
+def test_window_mask_depth_drops_boundary_rings():
+    # frac = 1 keeps the whole rectangle, boundary ring included
+    g = Grid(0.0, 0.5, -0.25, 0.25, 17, 17)
+    assert window_mask(g, 1.0).all()
     for depth in (1, 2):
-        win = window_mask(g, depth=depth)
-        assert np.array_equal(win, window_mask(g) & g.interior(depth))
-        assert not win[:depth].any()
+        assert np.array_equal(window_mask(g, 1.0, depth=depth), g.interior(depth))

@@ -4,9 +4,11 @@ import pytest
 from cgcsurf.errors import DegenerateDenominator, ZeroLambda
 from cgcsurf.gauss import MetricField, solve_gauss, umbilic_seed
 from cgcsurf.grid import Grid, window_mask
+from cgcsurf import lax
 from cgcsurf.lax import (
     SU2,
     SU11,
+    MaurerCartanData,
     build_uv,
     compute_p,
     frame_csv,
@@ -105,7 +107,7 @@ def test_frame_base_identity_and_det(umbilic33):
     grid, mf = umbilic33
     mc = build_uv(mf, grid, QDiff.zero(), 1.0)
     frame = integrate_frame(mc, grid)
-    i, j = frame.base_index
+    i, j = grid.base_index
     assert np.allclose(frame.psi[i, j], np.eye(2), atol=1e-14)
     det = np.linalg.det(frame.psi)
     assert np.max(np.abs(det - 1.0)) <= 1e-12
@@ -136,3 +138,77 @@ def test_frame_csv_shape(umbilic33):
     lines = frame_csv(frame).splitlines()
     assert lines[0].startswith("i,j,re_a11")
     assert len(lines) == 1 + 33 * 33
+
+
+def _reference_frame(mc, grid, order):
+    """The frame integrator as it stood before `lax._sweep`: four loops."""
+    h = grid.h
+    ax = mc.U + mc.V
+    ay = 1j * (mc.U - mc.V)
+    i0, j0 = grid.base_index
+    psi = np.zeros_like(mc.U)
+    drift = 0.0
+    if order == "columns-first":
+        first_axis, second_axis = 1, 0
+        a_first, a_second = ay, ax
+        k0_first, k0_second = j0, i0
+    else:
+        first_axis, second_axis = 0, 1
+        a_first, a_second = ax, ay
+        k0_first, k0_second = i0, j0
+
+    def line_index(k):
+        return (k, j0) if first_axis == 0 else (i0, k)
+
+    n_first = mc.U.shape[first_axis]
+    psi[line_index(k0_first)] = np.eye(2, dtype=complex)
+    for k in range(k0_first, n_first - 1):
+        p = lax._rk4_step(
+            psi[line_index(k)], a_first[line_index(k)], a_first[line_index(k + 1)], h
+        )
+        p, d = lax._renorm(p)
+        drift = max(drift, d)
+        psi[line_index(k + 1)] = p
+    for k in range(k0_first, 0, -1):
+        p = lax._rk4_step(
+            psi[line_index(k)], a_first[line_index(k)], a_first[line_index(k - 1)], -h
+        )
+        p, d = lax._renorm(p)
+        drift = max(drift, d)
+        psi[line_index(k - 1)] = p
+
+    n_second = mc.U.shape[second_axis]
+    a2 = np.moveaxis(a_second, second_axis, 0)
+    psi_m = np.moveaxis(psi, second_axis, 0)
+    for k in range(k0_second, n_second - 1):
+        p, d = lax._renorm(lax._rk4_step(psi_m[k], a2[k], a2[k + 1], h))
+        drift = max(drift, d)
+        psi_m[k + 1] = p
+    for k in range(k0_second, 0, -1):
+        p, d = lax._renorm(lax._rk4_step(psi_m[k], a2[k], a2[k - 1], -h))
+        drift = max(drift, d)
+        psi_m[k - 1] = p
+    return psi, drift
+
+
+@pytest.mark.parametrize("order", ["rows-first", "columns-first"])
+@pytest.mark.parametrize(
+    "grid",
+    [
+        Grid.centered_square(0.5, 9),
+        Grid(-0.5, 0.5, -0.625, 0.625, 9, 11),
+        Grid(-0.625, 0.625, -0.5, 0.5, 11, 9),
+        # the base node sits on the x = 0 edge: one sweep direction is empty
+        Grid(0.0, 0.5, -0.25, 0.25, 17, 17),
+    ],
+    ids=["9x9", "9x11", "11x9", "edge-base-17"],
+)
+def test_integrate_frame_matches_reference_loops(grid, order):
+    rng = np.random.default_rng(grid.nx * 100 + grid.ny)
+    shape = (grid.nx, grid.ny, 2, 2)
+    U, V = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in "UV")
+    mc = MaurerCartanData(U=U, V=V)
+    psi, drift = _reference_frame(mc, grid, order)
+    frame = integrate_frame(mc, grid, order=order)
+    assert np.array_equal(frame.psi, psi)
+    assert frame.det_drift == drift

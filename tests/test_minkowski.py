@@ -200,7 +200,7 @@ def test_pairings_take_lists_and_real_arrays():
 
 @given(_sl2())
 def test_surface_products_match_matmul(psi):
-    s = build_surface(FrameField(psi=psi, lam=1.0, base_index=(0, 0), det_drift=0.0))
+    s = build_surface(FrameField(psi=psi, det_drift=0.0))
     pst = _dagger(psi)
     scale = (_norm(psi) ** 2)[..., None, None]
     _assert_close(s.f, psi @ pst, scale)
@@ -212,7 +212,7 @@ def test_surface_products_match_matmul(psi):
 @given(_sl2())
 def test_lagrangian_map_matches_inverse(psi):
     # L = i Psi e1 adj(Psi) / det(Psi) against the LAPACK inverse
-    lmap = lagrangian_map(FrameField(psi=psi, lam=1.0, base_index=(0, 0), det_drift=0.0))
+    lmap = lagrangian_map(FrameField(psi=psi, det_drift=0.0))
     oracle = 1j * psi @ E1 @ np.linalg.inv(psi)
     _assert_close(lmap.L, oracle, (_norm(psi) ** 4)[..., None, None], ulps=32)
     assert np.array_equal(lmap.L[..., 0, 0], -lmap.L[..., 1, 1])

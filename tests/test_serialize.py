@@ -73,7 +73,7 @@ def _inputs(nx, ny):
     x = np.stack([a, b, a * b], axis=-1)
     v = np.concatenate([np.sqrt(1.0 + np.sum(x * x, axis=-1))[..., None], x], axis=-1)
     f = herm_from_mink(v)
-    surf = SurfaceData(f=f, n=f, lam=1.0, det_residual=0.0, normal_residual=0.0)
+    surf = SurfaceData(f=f, n=f)
     k_num = -0.75 + a * b / 1e9
     k_num[0, :] = k_num[-1, :] = k_num[:, 0] = k_num[:, -1] = np.nan
     h_num = -a / 11.0
@@ -86,7 +86,7 @@ def _texts(nx, ny):
     grid, a, psi, surf, k_num, h_num, w, s2 = _inputs(nx, ny)
     return {
         "u.csv": metric_field_csv(MetricField(u=a * a - 1.0 / 3.0, K=-0.75), grid),
-        "frame.csv": frame_csv(FrameField(psi=psi, lam=1.0, base_index=(0, 0), det_drift=0.0)),
+        "frame.csv": frame_csv(FrameField(psi=psi, det_drift=0.0)),
         "surface.obj": surface_obj(surf),
         "diagnostics.csv": diagnostics_csv(k_num, h_num, psi[..., 0, 0]),
         "gaussmap_h2.csv": gaussmap_csv(grid, w, "H2"),
@@ -286,7 +286,7 @@ def test_grid_writers_match_format_oracle(grid, data):
 @given(shape=st.sampled_from(SHAPES_ROWS), data=st.data())
 def test_frame_and_diagnostics_match_format_oracle(shape, data):
     psi = data.draw(complex_arrays(shape + (2, 2)))
-    frame = FrameField(psi=psi, lam=1.0, base_index=(0, 0), det_drift=0.0)
+    frame = FrameField(psi=psi, det_drift=0.0)
     assert frame_csv(frame) == _format_frame_csv(frame)
     k_num, h_num = (data.draw(float_arrays(shape)) for _ in range(2))
     assert diagnostics_csv(k_num, h_num, psi[..., 0, 0]) == _format_diagnostics_csv(
@@ -305,5 +305,5 @@ def test_surface_obj_matches_format_oracle(shape, scale, seed):
     x = np.random.default_rng(seed).standard_normal(shape + (3,)) * scale
     v = np.concatenate([np.sqrt(1.0 + np.sum(x * x, axis=-1))[..., None], x], axis=-1)
     f = herm_from_mink(v)
-    surf = SurfaceData(f=f, n=f, lam=1.0, det_residual=0.0, normal_residual=0.0)
+    surf = SurfaceData(f=f, n=f)
     assert surface_obj(surf) == _format_surface_obj(surf)

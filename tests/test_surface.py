@@ -47,12 +47,7 @@ def test_surface_lies_on_hyperboloid(slope33):
 def test_hyperboloid_drift_detected(slope33):
     grid, mf, _ = slope33
     frame = integrate_frame(build_uv(mf, grid, Q_SLOPE, 1.0), grid)
-    bad = frame.__class__(
-        psi=frame.psi * 1.01,
-        lam=frame.lam,
-        base_index=frame.base_index,
-        det_drift=frame.det_drift,
-    )
+    bad = frame.__class__(psi=frame.psi * 1.01, det_drift=frame.det_drift)
     with pytest.raises(HyperboloidDrift):
         build_surface(bad)
 
@@ -142,7 +137,7 @@ def test_weak_metric_numeric_match(slope33):
 def test_radial_length_flat_strip():
     grid = Grid(0.0, 0.5, -0.25, 0.25, 9, 9)
     mf = MetricField(u=np.zeros((9, 9)), K=K)
-    l = radial_length(mf, QDiff.zero(PLANE), grid, "+x", metric="weak")
+    l = radial_length(mf, QDiff.zero(PLANE), grid, metric="weak")
     assert l == pytest.approx(np.sqrt(2.0) * 0.5, abs=1e-12)
 
 
