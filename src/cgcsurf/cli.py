@@ -7,13 +7,17 @@ import numpy as np
 
 from . import pipeline
 from .config import JobConfig, parse_config, require_valid
-from .errors import CgcError
+from .errors import CgcError, ParseError
 
 
 def _load_config(config, out, lam, at_lambda0, grid):
     if config:
-        with open(config) as fh:
-            cfg = parse_config(fh.read())
+        try:
+            with open(config, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ParseError(f"cannot read config {config}: {exc}") from None
+        cfg = parse_config(text)
     else:
         cfg = JobConfig()
     if out:

@@ -51,6 +51,7 @@ def _strict(name, *kinds):
 
 
 _json_number = _strict("a number", int, float)
+_string = _strict("a string", str)
 
 
 def _number(v):
@@ -65,7 +66,7 @@ def _pairs(v):
 _FIELD_PARSERS = {
     "K": ("K", _number),
     "Q": ("q_coeffs", _pairs),
-    "domain": ("domain", str),
+    "domain": ("domain", _string),
     "x_min": ("x_min", _number),
     "x_max": ("x_max", _number),
     "y_min": ("y_min", _number),
@@ -75,9 +76,9 @@ _FIELD_PARSERS = {
     "Ny": ("ny", _strict("an integer", int)),
     "lambdas": ("lambdas", _pairs),
     "at_lambda0": ("at_lambda0", _strict("true or false", bool)),
-    "bc_mode": ("bc_mode", str),
-    "bc_file": ("bc_file", str),
-    "out_dir": ("out_dir", str),
+    "bc_mode": ("bc_mode", _string),
+    "bc_file": ("bc_file", _string),
+    "out_dir": ("out_dir", _string),
     "gauss_tol": ("gauss_tol", _number),
 }
 

@@ -8,7 +8,7 @@ import numpy as np
 from . import qdiff as qd
 from .errors import OnUnitCircle, OutOfRange
 from .grid import d_z, d_zbar, window_mask
-from .lax import SU2, SU11, build_uv, compute_p
+from .lax import build_uv, compute_p
 from .minkowski import (
     _det,
     _entries,
@@ -43,40 +43,19 @@ def lambda0(K):
     return float(via_ratio)
 
 
-def reality_target(K):
-    """SU11 for -1 < K < 0, SU2 for K > 0."""
-    if -1.0 < K < 0.0:
-        return SU11
-    if K > 0.0:
-        return SU2
-    raise OutOfRange(f"K = {K} outside (-1,0) u (0,inf)")
-
-
-@dataclass(frozen=True)
-class LagrangianMapField:
+def lagrangian_map(frame):
     """Per-node L = i Psi e1 Psi^{-1}; trace-free with L^2 = -id."""
-
-    L: np.ndarray
-    target: str = "generic"
-
-
-def lagrangian_map(frame, target="generic"):
     # i Psi e1 adj(Psi) / det Psi, trace-free by construction
     a, b, c, d = _entries(frame.psi)
     s = 1j / _det(frame.psi)
     ad_bc = s * (a * d + b * c)
-    l = _pack(ad_bc, -2.0 * s * a * b, 2.0 * s * c * d, -ad_bc)
-    return LagrangianMapField(L=l, target=target)
+    return _pack(ad_bc, -2.0 * s * a * b, 2.0 * s * c * d, -ad_bc)
 
 
-def project_disk(lmap):
-    """H^2 case: per-node Poincare disk images of L."""
-    return su11_disk(lmap.L)
-
-
-def project_sphere(lmap):
-    """S^2 case: per-node unit vectors of L."""
-    return su2_sphere(lmap.L)
+def project(L, K):
+    """Per-node images of L: Poincare disk points (H^2) for K < 0, unit
+    3-vectors (S^2) for K > 0."""
+    return su2_sphere(L) if K > 0 else su11_disk(L)
 
 
 @dataclass(frozen=True)
@@ -87,18 +66,14 @@ class EnergyReport:
     mixed_residual: float  # <dz L, dbar L> vs -/+ K (e^u + |Q|^2 e^{-u})/2
 
 
-def energy_check(lmap, mf, q, grid, theta=0.0):
-    """Compare numeric Killing pairings of dL with the closed forms at lambda_0."""
-    if lmap.target == "H2":
-        pairing, mixed_sign = su11_pairing, -1.0
-    elif lmap.target == "S2":
-        pairing, mixed_sign = su2_pairing, +1.0
-    else:
-        raise ValueError("energy_check needs an H2- or S2-tagged map")
+def energy_check(L, mf, q, grid, theta=0.0):
+    """Compare numeric Killing pairings of dL with the closed forms at lambda_0;
+    the sign of mf.K picks the su(2) or su(1,1) pairing."""
     k = mf.K
+    pairing, mixed_sign = (su2_pairing, 1.0) if k > 0 else (su11_pairing, -1.0)
     qv = np.asarray(qd.eval_q(q, grid.zmesh), dtype=complex)
-    dl = d_z(lmap.L, grid)
-    dbl = d_zbar(lmap.L, grid)
+    dl = d_z(L, grid)
+    dbl = d_zbar(L, grid)
     win = window_mask(grid, depth=1)
     holo = pairing(dl, dl) - (-k * np.exp(-2j * theta) * qv)
     mixed = pairing(dl, dbl) - mixed_sign * k * (
@@ -147,17 +122,9 @@ def harmonicity_residual(mf, grid, q=None, qs=None):
     return t1, t2
 
 
-@dataclass(frozen=True)
-class HarmonicSeed:
-    """Normalized harmonic-map data (u_hat field, Q_hat) for the converse."""
-
-    u_hat: np.ndarray
-    q_hat: qd.QDiff
-    target: str  # "H2" or "S2"
-
-
-def converse_rescale(seed, lam1, grid=None):
-    """Rescale harmonic-map data to constant-curvature data at |lam1| > 1.
+def converse_rescale(u_hat, q_hat, lam1, sphere=False):
+    """Rescale normalized harmonic-map data (u_hat field, Q_hat) into H^2, or
+    into S^2 if sphere, to constant-curvature data at |lam1| > 1.
 
     Returns (u, Q, K): u = u_hat + 2 log(factor), Q = factor^2 Q_hat, with
     factor = (1+|lam1|^2)/(2|lam1|) and K = -(2|lam1|/(|lam1|^2+1))^2 in the
@@ -168,18 +135,14 @@ def converse_rescale(seed, lam1, grid=None):
         raise OnUnitCircle("|lam1| = 1 is excluded")
     if r < 1.0:
         raise OutOfRange("converse rescaling expects |lam1| > 1")
-    if seed.target == "H2":
-        factor = (1.0 + r**2) / (2.0 * r)
-        K = -((2.0 * r / (r**2 + 1.0)) ** 2)
-    elif seed.target == "S2":
+    if sphere:
         factor = (r**2 - 1.0) / (2.0 * r)
         K = (2.0 * r / (r**2 - 1.0)) ** 2
     else:
-        raise ValueError(f"unknown target {seed.target!r}")
-    u = np.asarray(seed.u_hat, dtype=float) + 2.0 * np.log(factor)
-    q = qd.QDiff(
-        tuple(factor**2 * c for c in seed.q_hat.coeffs), seed.q_hat.domain
-    )
+        factor = (1.0 + r**2) / (2.0 * r)
+        K = -((2.0 * r / (r**2 + 1.0)) ** 2)
+    u = np.asarray(u_hat, dtype=float) + 2.0 * np.log(factor)
+    q = qd.QDiff(tuple(factor**2 * c for c in q_hat.coeffs), q_hat.domain)
     assert abs(lambda0(K) - r) <= 1e-12 * (1.0 + r)
     return u, q, K
 
@@ -192,9 +155,10 @@ def legendrian_tangency(s, grid):
     return float(np.max(resid[grid.interior()]))
 
 
-def gaussmap_csv(grid, images, target):
-    """CSV of H^2 disk images (re, im) or S^2 unit vectors (s1, s2, s3)."""
-    if target == "H2":
+def gaussmap_csv(grid, images):
+    """CSV of complex H^2 disk images (re, im) or real S^2 unit vectors
+    (s1, s2, s3)."""
+    if np.iscomplexobj(images):
         return _grid_table(
             grid, "i,j,x,y,re_w,im_w", "%.17g,%.17g", [images.real, images.imag]
         )

@@ -20,9 +20,6 @@ from .grid import d_z, d_zbar
 from .minkowski import E1, _det, _mul
 from .serialize import _table
 
-SU11 = "SU11"
-SU2 = "SU2"
-
 DET_DRIFT_WARN = 1e-6
 
 
@@ -96,18 +93,14 @@ def zero_curvature_residual(mc, grid):
     return r
 
 
-def reality_residual(mc, target):
-    """Max-node residual of the real-form condition on (U, V).
+def reality_residual(mc, K):
+    """Max-node residual of the real-form condition on (U, V); the sign of K
+    picks the form.
 
-    SU2:  || V + conj(U)^T ||,  SU11:  || V + e1 conj(U)^T e1 ||.
+    K > 0, SU(2): || V + conj(U)^T ||;  K < 0, SU(1,1): || V + e1 conj(U)^T e1 ||.
     """
     ut = np.conj(np.swapaxes(mc.U, -1, -2))
-    if target == SU2:
-        r = mc.V + ut
-    elif target == SU11:
-        r = mc.V + _mul(_mul(E1, ut), E1)
-    else:
-        raise ValueError(f"unknown target {target!r}")
+    r = mc.V + (ut if K > 0 else _mul(_mul(E1, ut), E1))
     return float(np.max(np.linalg.norm(r, axis=(-2, -1))))
 
 
@@ -182,19 +175,18 @@ def integrate_frame(mc, grid, order="rows-first"):
     return FrameField(psi=psi, det_drift=drift)
 
 
-def frame_unitarity_residual(frame, target):
-    """Max-node residual of the pointwise group condition on Psi.
+def frame_unitarity_residual(frame, K):
+    """Max-node residual of the pointwise group condition on Psi; the sign of
+    K picks the group.
 
-    SU11: || Psi* e1 Psi - e1 ||,  SU2: || Psi* Psi - id ||.
+    K < 0, SU(1,1): || Psi* e1 Psi - e1 ||;  K > 0, SU(2): || Psi* Psi - id ||.
     """
     psi = frame.psi
     pst = np.conj(np.swapaxes(psi, -1, -2))
-    if target == SU11:
-        r = _mul(_mul(pst, E1), psi) - E1
-    elif target == SU2:
+    if K > 0:
         r = _mul(pst, psi) - np.eye(2)
     else:
-        raise ValueError(f"unknown target {target!r}")
+        r = _mul(_mul(pst, E1), psi) - E1
     return float(np.max(np.linalg.norm(r, axis=(-2, -1))))
 
 

@@ -128,48 +128,76 @@ def run_pipeline(cfg, stages=("solve", "frame", "mesh", "gaussmap"), report_path
     lam0 = None
     if cfg.at_lambda0:
         lam0 = complex(gaussmap.lambda0(cfg.K))
-        if all(abs(l - lam0) > 1e-12 for l in lams):
+        # a requested lambda within 1e-12 of lambda_0 stands in for it
+        lam0 = next((l for l in lams if abs(l - lam0) <= 1e-12), lam0)
+        if lam0 not in lams:
             lams.append(lam0)
 
-    surfaces = {}
-    want_frames = any(s in stages for s in ("frame", "mesh", "family", "gaussmap"))
-    if want_frames:
-        win = window_mask(grid)
-        for lam in lams:
-            tag = _lambda_tag(lam)
-            with _stage(f"frame lam={lam}"):
-                mc = lax.build_uv(mf, grid, q, lam)
-                zc = lax.zero_curvature_residual(mc, grid)
-                # the corner boundary layer does not decay with h: measure on
-                # the fixed window, as verify does, and keep the corner visible
-                rep.add(
-                    f"flatness.lam_{tag}",
-                    float(np.max(zc[win])),
-                    h2,
-                    rms_value=rms(zc[win]),
-                    note=f"full-grid max {float(np.max(zc)):.6g}",
-                )
-                frame = lax.integrate_frame(mc, grid)
-                rep.add(f"frame.det_drift_{tag}", frame.det_drift, 1e-6)
-            if "frame" in stages:
-                paths.append(
-                    _write(cfg.out_dir, f"frame_{tag}.csv", lax.frame_csv(frame))
-                )
-            with _stage(f"surface lam={lam}"):
-                s = surface.build_surface(frame)
-                surfaces[lam] = s
-            if "mesh" in stages or "family" in stages:
-                paths.append(
-                    _write(cfg.out_dir, f"surface_{tag}.obj", serialize.surface_obj(s))
-                )
+    def member(lam, keep_forms):
+        """Build and write the member at lam. Return its forms if keep_forms
+        and, at lambda_0 with a gaussmap stage, (reality residual, unitarity
+        residual, L); nothing else of the member outlives the call."""
+        tag = _lambda_tag(lam)
+        with _stage(f"frame lam={lam}"):
+            mc = lax.build_uv(mf, grid, q, lam)
+            zc = lax.zero_curvature_residual(mc, grid)
+            # the corner boundary layer does not decay with h: measure on
+            # the fixed window, as verify does, and keep the corner visible
+            rep.add(
+                f"flatness.lam_{tag}",
+                float(np.max(zc[win])),
+                h2,
+                rms_value=rms(zc[win]),
+                note=f"full-grid max {float(np.max(zc)):.6g}",
+            )
+            frame = lax.integrate_frame(mc, grid)
+            rep.add(f"frame.det_drift_{tag}", frame.det_drift, 1e-6)
+        real = None
+        if lam == lam0 and "gaussmap" in stages:
+            real = (
+                lax.reality_residual(mc, cfg.K),
+                lax.frame_unitarity_residual(frame, cfg.K),
+                gaussmap.lagrangian_map(frame),
+            )
+        # U, V and then the frame go as soon as they are used: held while the
+        # surface and its forms are built, they raise the job's peak memory
+        del mc, zc
+        if "frame" in stages:
+            paths.append(_write(cfg.out_dir, f"frame_{tag}.csv", lax.frame_csv(frame)))
+        with _stage(f"surface lam={lam}"):
+            s = surface.build_surface(frame)
+        del frame
+        if "mesh" in stages or "family" in stages:
+            paths.append(
+                _write(cfg.out_dir, f"surface_{tag}.obj", serialize.surface_obj(s))
+            )
+        forms = surface.fundamental_forms_numeric(s, grid) if keep_forms else None
+        return forms, real
 
-    if surfaces:
-        lam_first = lams[0]
-        s = surfaces[lam_first]
+    # keep across members only what a later diagnostic reads: the forms at
+    # lams[0], the first unit-circle forms, the running II deviation from
+    # them, and the lambda_0 data
+    first = base = at_lam0 = None
+    dev, n_unit = 0.0, 0
+    if any(s in stages for s in ("frame", "mesh", "family", "gaussmap")):
+        win = window_mask(grid)
+        for i, lam in enumerate(lams):
+            unit = abs(abs(lam) - 1.0) < 1e-12
+            forms, real = member(lam, keep_forms=i == 0 or unit)
+            at_lam0 = real or at_lam0
+            if i == 0:
+                first = forms
+            if unit:
+                n_unit += 1
+                if base is None:
+                    base = forms
+                else:
+                    dev = max(dev, surface.ii_deviation(base, forms, grid))
+
+    if first is not None:
         with _stage("diagnostics"):
-            forms = surface.fundamental_forms_numeric(s, grid)
-            k_num = surface.curvature(forms, grid)
-            h_num = surface.mean_curvature(forms, grid)
+            k_num = surface.curvature(first, grid)
+            h_num = surface.mean_curvature(first, grid)
             rep.add(
                 "curvature.max_error",
                 surface.curvature_error(k_num, cfg.K, grid),
@@ -182,58 +210,33 @@ def run_pipeline(cfg, stages=("solve", "frame", "mesh", "gaussmap"), report_path
             )
             rep.add(
                 "identity.three_forms",
-                surface.form_identity_residual(forms, k_num, h_num, grid),
+                surface.form_identity_residual(first, k_num, h_num, grid),
                 h2,
             )
-            rep.add("klotz.dbar", surface.klotz_dbar(forms.q_num, grid), h2)
+            rep.add("klotz.dbar", surface.klotz_dbar(first.q_num, grid), h2)
             _, tension = gaussmap.harmonicity_residual(mf, grid, q=q)
             rep.add("harmonicity.tension", tension, h2)
             paths.append(
                 _write(
                     cfg.out_dir,
                     "diagnostics.csv",
-                    serialize.diagnostics_csv(k_num, h_num, forms.q_num),
+                    serialize.diagnostics_csv(k_num, h_num, first.q_num),
                 )
             )
-        unit = [l for l in lams if abs(abs(l) - 1.0) < 1e-12]
-        if len(unit) >= 2:
-            # unit[0] is lams[0] whenever lams[0] lies on the unit circle
-            base = (
-                forms
-                if unit[0] == lam_first
-                else surface.fundamental_forms_numeric(surfaces[unit[0]], grid)
-            )
-            dev = 0.0
-            for l in unit[1:]:
-                fo = surface.fundamental_forms_numeric(surfaces[l], grid)
-                dev = max(dev, surface.ii_deviation(base, fo, grid))
+        if n_unit >= 2:
             rep.add("family.ii_deviation", dev, h2)
         else:
             rep.skip("family.ii_deviation", "fewer than two unit-circle lambdas")
 
     if "gaussmap" in stages and cfg.at_lambda0:
+        reality, unitarity, L = at_lam0
+        rep.add("reality.at_lambda0", reality, 1e-10)
+        rep.add("frame.unitarity_at_lambda0", unitarity, 1e-6)
         with _stage("gaussmap"):
-            target = gaussmap.reality_target(cfg.K)
-            mc0 = lax.build_uv(mf, grid, q, lam0)
-            rep.add("reality.at_lambda0", lax.reality_residual(mc0, target), 1e-10)
-            frame0 = lax.integrate_frame(mc0, grid)
-            rep.add(
-                "frame.unitarity_at_lambda0",
-                lax.frame_unitarity_residual(frame0, target),
-                1e-6,
-            )
-            lmap = gaussmap.lagrangian_map(
-                frame0, target="H2" if target == lax.SU11 else "S2"
-            )
-            er = gaussmap.energy_check(lmap, mf, q, grid, theta=0.0)
+            er = gaussmap.energy_check(L, mf, q, grid, theta=0.0)
             rep.add("energy.holomorphic", er.holomorphic_residual, h2)
             rep.add("energy.mixed", er.mixed_residual, h2)
-            if target == lax.SU11:
-                images = gaussmap.project_disk(lmap)
-                csv = gaussmap.gaussmap_csv(grid, images, "H2")
-            else:
-                images = gaussmap.project_sphere(lmap)
-                csv = gaussmap.gaussmap_csv(grid, images, "S2")
+            csv = gaussmap.gaussmap_csv(grid, gaussmap.project(L, cfg.K))
             paths.append(_write(cfg.out_dir, "gaussmap.csv", csv))
     elif "gaussmap" in stages:
         rep.skip("gaussmap", "no at_lambda0 request in the config")
@@ -254,18 +257,16 @@ def run_converse(cfg, seed_name, lam1=None, report_path=None):
     if lam1 is None:
         lam1 = complex(gaussmap.lambda0(cfg.K))
     r = abs(lam1)
-    target = "H2" if -1.0 < cfg.K < 0.0 else "S2"
     if seed_name == "umbilic":
         q_hat = qd.QDiff.zero(qd.PLANE)
     elif seed_name == "cylinder":
         q_hat = qd.QDiff.constant(1.0, qd.PLANE)
     else:
         raise CgcError(f"unknown converse seed {seed_name!r}")
-    seed = gaussmap.HarmonicSeed(
-        u_hat=np.zeros((grid.nx, grid.ny)), q_hat=q_hat, target=target
-    )
     with _stage("converse"):
-        u, q_new, k_new = gaussmap.converse_rescale(seed, lam1)
+        u, q_new, k_new = gaussmap.converse_rescale(
+            np.zeros((grid.nx, grid.ny)), q_hat, lam1, sphere=cfg.K > 0
+        )
     rep.meta["lambda1_modulus"] = f"{r:.17g}"
     rep.meta["K_constructed"] = f"{k_new:.17g}"
     rep.add(

@@ -14,7 +14,6 @@ from scipy.linalg import sqrtm
 from . import qdiff as qd
 from .errors import DegenerateMetric, HyperboloidDrift, NotInvariant
 from .grid import d_z, d_zbar, grad_x, grad_y, window_mask
-from .lax import build_uv, integrate_frame
 from .minkowski import _det, _entries, _pack, mink_from_herm, mink_pairing
 
 MINK_J = np.diag([-1.0, 1.0, 1.0, 1.0])
@@ -171,19 +170,6 @@ def klotz_recover(s, grid):
     q_num = mink_pairing(df, df)
     dbar_q = d_zbar(q_num, grid)
     return q_num, float(np.max(np.abs(dbar_q[grid.interior(depth=2)])))
-
-
-def associated_family(mf, grid, q, lam_count):
-    """Surfaces at the unit roots lam_k = exp(2 pi i k / lam_count)."""
-    if lam_count < 1:
-        raise ValueError("lam_count must be >= 1")
-    out = []
-    for k in range(lam_count):
-        lam = np.exp(2j * np.pi * k / lam_count)
-        mc = build_uv(mf, grid, q, lam)
-        frame = integrate_frame(mc, grid)
-        out.append(build_surface(frame))
-    return out
 
 
 def weak_metric(mf, q, grid):

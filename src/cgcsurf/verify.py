@@ -191,14 +191,7 @@ def check_frame_integrity(rep, fx):
         fr = fx.frame("slope", Q_SLOPE, 1.0, n)
         fc = fx.frame("slope", Q_SLOPE, 1.0, n, order="columns-first")
         diffs.append(float(np.max(np.abs(fr.psi - fc.psi))))
-    ratio = diffs[0] / diffs[1]
-    rep.add(
-        "frame.path_dependence_decay",
-        max(0.0, LOOSE_DECAY - ratio),
-        0.0,
-        rms_value=diffs[1],
-        note=f"per-halving ratio = {ratio:.4g}, floor {LOOSE_DECAY}",
-    )
+    _add_ratio_floor(rep, "frame.path_dependence_decay", diffs)
     # constant-coefficient RK4 against the matrix exponential
     grid = fx.grid(0.5, 65)
     mf = fx.umbilic(0.5, 65)
@@ -226,21 +219,21 @@ def check_reality(rep, fx):
     grid = fx.grid(0.5, 65)
     mf = fx.umbilic(0.5, 65)
     mc0 = lax.build_uv(mf, grid, qdiff.QDiff.zero(), lam0)
-    rep.add("reality.su11_at_lam0", lax.reality_residual(mc0, lax.SU11), 1e-10)
+    rep.add("reality.su11_at_lam0", lax.reality_residual(mc0, K_NEG), 1e-10)
     mc1 = lax.build_uv(mf, grid, qdiff.QDiff.zero(), 1.0)
     rep.add_bound_below(
-        "reality.su11_at_1_negative", lax.reality_residual(mc1, lax.SU11), NEG_FLOOR
+        "reality.su11_at_1_negative", lax.reality_residual(mc1, K_NEG), NEG_FLOOR
     )
     fr0 = fx.frame("umbilic", qdiff.QDiff.zero(), lam0, 129)
     rep.add(
         "reality.su11_frame_unitarity",
-        lax.frame_unitarity_residual(fr0, lax.SU11),
+        lax.frame_unitarity_residual(fr0, K_NEG),
         1e-6,
     )
     fr1 = fx.frame("umbilic", qdiff.QDiff.zero(), 1.0, 129)
     rep.add_bound_below(
         "reality.su11_frame_at_1_negative",
-        lax.frame_unitarity_residual(fr1, lax.SU11),
+        lax.frame_unitarity_residual(fr1, K_NEG),
         NEG_FLOOR,
     )
     # positive-curvature branch, K = 3, sigma = 2: same modulus sqrt(3)
@@ -248,16 +241,16 @@ def check_reality(rep, fx):
     grid_p = fx.grid(0.2, 65)
     mf_p = fx.solved("pos", 65, r=0.2)
     mcp = lax.build_uv(mf_p, grid_p, Q_SLOPE, lam0p)
-    rep.add("reality.su2_at_lam0", lax.reality_residual(mcp, lax.SU2), 1e-10)
+    rep.add("reality.su2_at_lam0", lax.reality_residual(mcp, K_POS), 1e-10)
     frp = fx.frame("pos", Q_SLOPE, lam0p, 65, r=0.2)
     rep.add(
         "reality.su2_frame_unitarity",
-        lax.frame_unitarity_residual(frp, lax.SU2),
+        lax.frame_unitarity_residual(frp, K_POS),
         1e-6,
     )
     mcp1 = lax.build_uv(mf_p, grid_p, Q_SLOPE, 1.0)
     rep.add_bound_below(
-        "reality.su2_at_1_negative", lax.reality_residual(mcp1, lax.SU2), NEG_FLOOR
+        "reality.su2_at_1_negative", lax.reality_residual(mcp1, K_POS), NEG_FLOOR
     )
 
 
@@ -336,13 +329,20 @@ def check_associated_family(rep, fx):
         mf = fx.solved("slope", n)
         q_in = qdiff.eval_q(Q_SLOPE, grid.zmesh)
         win = window_mask(grid, depth=1)
-        members = surface.associated_family(mf, grid, Q_SLOPE, 8)
-        base_forms = surface.fundamental_forms_numeric(members[0], grid)
+        # the lambda = 1 member is the shared fixture frame; the other seven
+        # unit roots are integrated one at a time
+        base = surface.fundamental_forms_numeric(
+            _surface_for(fx, "slope", Q_SLOPE, 1.0, n), grid
+        )
         dev_ii = dev_q = dev_k = 0.0
-        for k, s in enumerate(members):
+        for k in range(8):
             lam = np.exp(2j * np.pi * k / 8)
-            forms = surface.fundamental_forms_numeric(s, grid)
-            dev_ii = max(dev_ii, surface.ii_deviation(base_forms, forms, grid))
+            forms = base
+            if k:
+                mc = lax.build_uv(mf, grid, Q_SLOPE, lam)
+                s = surface.build_surface(lax.integrate_frame(mc, grid))
+                forms = surface.fundamental_forms_numeric(s, grid)
+            dev_ii = max(dev_ii, surface.ii_deviation(base, forms, grid))
             dev_q = max(
                 dev_q, float(np.max(np.abs((forms.q_num - lam**-2 * q_in)[win])))
             )
@@ -392,8 +392,8 @@ def check_energy(rep, fx):
             mf = fx.solved("slope", n)
             lam = lam0 * np.exp(1j * theta)
             frame = fx.frame("slope", Q_SLOPE, lam, n)
-            lmap = gaussmap.lagrangian_map(frame, target="H2")
-            er = gaussmap.energy_check(lmap, mf, Q_SLOPE, grid, theta=theta)
+            L = gaussmap.lagrangian_map(frame)
+            er = gaussmap.energy_check(L, mf, Q_SLOPE, grid, theta=theta)
             holo.append(er.holomorphic_residual)
             mixed.append(er.mixed_residual)
         tname = f"theta_{theta:.3g}".replace(".", "p")
@@ -403,13 +403,10 @@ def check_energy(rep, fx):
 
 def check_converse(rep, fx):
     worst = 0.0
+    u_hat, q_hat = np.zeros((9, 9)), qdiff.QDiff.constant(1.0)
     for k in (-0.9, -0.5, -0.25, -0.1, 0.5, 3.0):
-        target = "H2" if k < 0 else "S2"
-        seed = gaussmap.HarmonicSeed(
-            u_hat=np.zeros((9, 9)), q_hat=qdiff.QDiff.constant(1.0), target=target
-        )
         lam1 = gaussmap.lambda0(k)
-        _, _, k_back = gaussmap.converse_rescale(seed, lam1)
+        _, _, k_back = gaussmap.converse_rescale(u_hat, q_hat, lam1, sphere=k > 0)
         worst = max(worst, abs(k_back - k))
     rep.add("converse.round_trip", worst, 1e-12)
 
@@ -421,14 +418,7 @@ def check_harmonicity(rep, fx):
         mf = fx.solved("slope", n)
         _, tension = gaussmap.harmonicity_residual(mf, grid, q=Q_SLOPE)
         tensions.append(tension)
-    ratio = tensions[0] / tensions[1]
-    rep.add(
-        "harmonicity.holomorphic_decay",
-        max(0.0, LOOSE_DECAY - ratio),
-        0.0,
-        rms_value=tensions[1],
-        note=f"per-halving ratio = {ratio:.4g}, floor {LOOSE_DECAY}",
-    )
+    _add_ratio_floor(rep, "harmonicity.holomorphic_decay", tensions)
     grid = fx.grid(0.5, 65)
     mf_flat = gauss.MetricField(u=np.zeros((65, 65)), K=K_NEG)
     qs = np.conj(grid.zmesh)
@@ -486,6 +476,18 @@ def _add_small_or_decaying(rep, name, vals, floor=1e-8):
         0.5,
         rms_value=vals[1],
         note=f"residuals {vals[0]:.3g} -> {vals[1]:.3g}, ratio = {ratio:.4g}",
+    )
+
+
+def _add_ratio_floor(rep, name, vals):
+    """Pass when the residual falls by at least LOOSE_DECAY per halving."""
+    ratio = vals[0] / vals[1]
+    rep.add(
+        name,
+        max(0.0, LOOSE_DECAY - ratio),
+        0.0,
+        rms_value=vals[1],
+        note=f"per-halving ratio = {ratio:.4g}, floor {LOOSE_DECAY}",
     )
 
 

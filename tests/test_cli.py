@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from cgcsurf import lax, pipeline
+from cgcsurf import gaussmap, lax, pipeline
 from cgcsurf.cli import main
 from cgcsurf.config import JobConfig, parse_config, validate
 from cgcsurf.errors import ParseError, ValidationError
@@ -60,7 +60,7 @@ def test_parse_rejects_disk_overflow():
         parse_config('r = 1.2\ndomain = "unit-disk"')
 
 
-# JSON values of the wrong type, once coerced by bool(), int() or float(),
+# JSON values of the wrong type, once coerced by bool(), int(), float() or str(),
 # or (r = [0.5]) an uncaught TypeError; r = false was rejected under the
 # rectangle's key instead of r
 LOOSE_TYPES = [
@@ -79,6 +79,11 @@ LOOSE_TYPES = [
     ("x_min", "false"),
     ("r", "true"),
     ("r", "false"),
+    ("out_dir", "true"),
+    ("out_dir", '["a", 1]'),
+    ("bc_file", "3"),
+    ("bc_mode", "null"),
+    ("domain", "1"),
 ]
 
 
@@ -220,6 +225,14 @@ def test_cli_rejects_loose_types(tmp_path, key, value):
     assert f"error: {key}:" in res.output
 
 
+def test_cli_rejects_config_that_is_not_utf8(tmp_path):
+    path = tmp_path / "job.cfg"
+    path.write_bytes(b"\xff\xfeK = -0.75\n")
+    res = CliRunner().invoke(main, ["solve", "--config", str(path)])
+    assert res.exit_code == 2, res.output
+    assert f"error: cannot read config {path}:" in res.output
+
+
 def test_cli_rejects_unequal_spacing(tmp_path):
     # a 2:1 rectangle with N = Ny nodes: hx = 2 hy
     cfg = _write_config(
@@ -251,6 +264,66 @@ def test_pipeline_flatness_uses_window(tmp_path):
     # the corner boundary layer stays visible in the note
     assert entry.max_value < float(np.max(zc))
     assert f"{float(np.max(zc)):.6g}" in entry.note
+
+
+def _count_frames(monkeypatch):
+    calls = []
+    integrate = lax.integrate_frame
+
+    def counting(mc, grid, **kwargs):
+        calls.append(mc)
+        return integrate(mc, grid, **kwargs)
+
+    monkeypatch.setattr(lax, "integrate_frame", counting)
+    return calls
+
+
+def _run_at_lambda0(tmp_path, lambdas):
+    """Full N = 33 pipeline job with Q = z/10 and lambda_0; the entry names."""
+    cfg = JobConfig(
+        n=33,
+        q_coeffs=((0.0, 0.0), (0.1, 0.0)),
+        lambdas=lambdas,
+        at_lambda0=True,
+        out_dir=str(tmp_path),
+    )
+    rep, _ = pipeline.run_pipeline(cfg)
+    return {e.name for e in rep.entries}
+
+
+def test_pipeline_integrates_each_lambda_once(tmp_path, monkeypatch):
+    calls = _count_frames(monkeypatch)
+    names = _run_at_lambda0(tmp_path, ((1.0, 0.0), (0.0, 1.0)))
+    assert len(calls) == 3  # lambda = 1, i and lambda_0
+    assert {"family.ii_deviation", "reality.at_lambda0", "energy.mixed"} <= names
+
+
+def test_pipeline_lambda_near_lambda0_stands_in_for_it(tmp_path, monkeypatch):
+    calls = _count_frames(monkeypatch)
+    names = _run_at_lambda0(tmp_path, ((gaussmap.lambda0(-0.75) + 5e-13, 0.0),))
+    assert len(calls) == 1
+    assert (tmp_path / "gaussmap.csv").exists()
+    assert {"reality.at_lambda0", "frame.unitarity_at_lambda0"} <= names
+
+
+def test_pipeline_positive_k_projects_to_sphere(tmp_path):
+    # K > 0 picks SU(2): reality, unitarity and energy at lambda_0, S^2 images
+    cfg = JobConfig(
+        K=3.0,
+        q_coeffs=((0.0, 0.0), (0.1, 0.0)),
+        n=17,
+        x_min=-0.2, x_max=0.2, y_min=-0.2, y_max=0.2,
+        at_lambda0=True,
+        out_dir=str(tmp_path),
+    )
+    rep, _ = pipeline.run_pipeline(cfg, stages=("solve", "gaussmap"))
+    status = {e.name: e.passed for e in rep.entries}
+    assert status["reality.at_lambda0"] and status["frame.unitarity_at_lambda0"]
+    assert status["energy.holomorphic"] and status["energy.mixed"]
+    path = tmp_path / "gaussmap.csv"
+    assert path.read_text().startswith("i,j,x,y,s1,s2,s3\n")
+    table = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert np.max(np.abs(np.linalg.norm(table[:, 4:], axis=1) - 1.0)) <= 1e-12
 
 
 def test_cli_converse_round_trip(tmp_path):

@@ -4,18 +4,16 @@ import pytest
 from cgcsurf.errors import OnUnitCircle, OutOfRange
 from cgcsurf.gauss import MetricField, solve_gauss, umbilic_seed
 from cgcsurf.gaussmap import (
-    HarmonicSeed,
     converse_rescale,
     energy_check,
     harmonicity_residual,
     lagrangian_map,
     lambda0,
     legendrian_tangency,
-    project_disk,
-    reality_target,
+    project,
 )
 from cgcsurf.grid import Grid, d_z, d_zbar
-from cgcsurf.lax import SU2, SU11, build_uv, integrate_frame
+from cgcsurf.lax import build_uv, integrate_frame
 from cgcsurf.qdiff import QDiff
 from cgcsurf.surface import build_surface
 
@@ -34,31 +32,24 @@ def test_lambda0_out_of_range():
             lambda0(k)
 
 
-def test_reality_target_branches():
-    assert reality_target(-0.5) == SU11
-    assert reality_target(2.0) == SU2
-    with pytest.raises(OutOfRange):
-        reality_target(-1.5)
-
-
 @pytest.fixture(scope="module")
 def umbilic_map():
     grid = Grid.centered_square(0.5, 33)
     mf = umbilic_seed(K, grid)
     lam0 = lambda0(K)
     frame = integrate_frame(build_uv(mf, grid, QDiff.zero(), lam0), grid)
-    return grid, mf, lagrangian_map(frame, target="H2")
+    return grid, mf, lagrangian_map(frame)
 
 
 def test_lagrangian_square_residual(umbilic_map):
-    _, _, lmap = umbilic_map
-    sq = lmap.L @ lmap.L + np.eye(2)  # L^2 = -I
+    _, _, L = umbilic_map
+    sq = L @ L + np.eye(2)  # L^2 = -I
     assert np.max(np.linalg.norm(sq, axis=(-2, -1))) <= 1e-10
 
 
 def test_disk_projection_center_and_jacobian(umbilic_map):
-    grid, _, lmap = umbilic_map
-    w = project_disk(lmap)
+    grid, _, L = umbilic_map
+    w = project(L, K)
     i, j = grid.base_index
     assert abs(w[i, j]) <= 1e-10
     assert np.max(np.abs(w)) < 1.0
@@ -68,8 +59,8 @@ def test_disk_projection_center_and_jacobian(umbilic_map):
 
 
 def test_energy_closed_forms(umbilic_map):
-    grid, mf, lmap = umbilic_map
-    er = energy_check(lmap, mf, QDiff.zero(), grid)
+    grid, mf, L = umbilic_map
+    er = energy_check(L, mf, QDiff.zero(), grid)
     assert er.holomorphic_residual <= 0.05
     assert er.mixed_residual <= 0.1
 
@@ -91,20 +82,15 @@ def test_harmonicity_large_for_antiholomorphic():
 
 def test_converse_round_trip_values():
     for k in (-0.9, -0.5, -0.25, -0.1, 0.5, 3.0):
-        target = "H2" if k < 0 else "S2"
-        seed = HarmonicSeed(
-            u_hat=np.zeros((9, 9)), q_hat=QDiff.constant(1.0), target=target
+        _, _, k_back = converse_rescale(
+            np.zeros((9, 9)), QDiff.constant(1.0), lambda0(k), sphere=k > 0
         )
-        _, _, k_back = converse_rescale(seed, lambda0(k))
         assert k_back == pytest.approx(k, abs=1e-12)
 
 
 def test_converse_rescale_factors():
-    seed = HarmonicSeed(
-        u_hat=np.zeros((9, 9)), q_hat=QDiff.constant(1.0), target="H2"
-    )
     r = 2.0
-    u, q, k = converse_rescale(seed, r)
+    u, q, k = converse_rescale(np.zeros((9, 9)), QDiff.constant(1.0), r)
     factor = (1.0 + r**2) / (2.0 * r)
     assert np.allclose(u, 2.0 * np.log(factor), atol=1e-14)
     assert q.coeffs[0] == pytest.approx(factor**2, abs=1e-14)
@@ -112,13 +98,11 @@ def test_converse_rescale_factors():
 
 
 def test_converse_rejects_unit_circle_and_interior():
-    seed = HarmonicSeed(
-        u_hat=np.zeros((9, 9)), q_hat=QDiff.constant(1.0), target="H2"
-    )
+    seed = (np.zeros((9, 9)), QDiff.constant(1.0))
     with pytest.raises(OnUnitCircle):
-        converse_rescale(seed, 1.0)
+        converse_rescale(*seed, 1.0)
     with pytest.raises(OutOfRange):
-        converse_rescale(seed, 0.5)
+        converse_rescale(*seed, 0.5)
 
 
 def test_legendrian_tangency_small():

@@ -6,8 +6,6 @@ from cgcsurf.gauss import MetricField, solve_gauss, umbilic_seed
 from cgcsurf.grid import Grid, window_mask
 from cgcsurf import lax
 from cgcsurf.lax import (
-    SU2,
-    SU11,
     MaurerCartanData,
     build_uv,
     compute_p,
@@ -92,15 +90,15 @@ def test_flatness_negative_control():
 def test_reality_condition_at_special_modulus(umbilic33):
     grid, mf = umbilic33
     lam0 = np.sqrt(3.0)
-    assert reality_residual(build_uv(mf, grid, QDiff.zero(), lam0), SU11) <= 1e-10
-    assert reality_residual(build_uv(mf, grid, QDiff.zero(), 1.0), SU11) >= 1e-2
+    assert reality_residual(build_uv(mf, grid, QDiff.zero(), lam0), K) <= 1e-10
+    assert reality_residual(build_uv(mf, grid, QDiff.zero(), 1.0), K) >= 1e-2
 
 
 def test_reality_condition_su2():
     grid = Grid.centered_square(0.2, 17)
     q = QDiff((0j, 0.1 + 0j))
     mf = solve_gauss(q, 3.0, grid)
-    assert reality_residual(build_uv(mf, grid, q, np.sqrt(3.0)), SU2) <= 1e-10
+    assert reality_residual(build_uv(mf, grid, q, np.sqrt(3.0)), 3.0) <= 1e-10
 
 
 def test_frame_base_identity_and_det(umbilic33):
@@ -118,9 +116,9 @@ def test_frame_unitarity_at_special_modulus(umbilic33):
     grid, mf = umbilic33
     mc = build_uv(mf, grid, QDiff.zero(), np.sqrt(3.0))
     frame = integrate_frame(mc, grid)
-    assert frame_unitarity_residual(frame, SU11) <= 1e-8
+    assert frame_unitarity_residual(frame, K) <= 1e-8
     mc1 = build_uv(mf, grid, QDiff.zero(), 1.0)
-    assert frame_unitarity_residual(integrate_frame(mc1, grid), SU11) >= 1e-2
+    assert frame_unitarity_residual(integrate_frame(mc1, grid), K) >= 1e-2
 
 
 def test_integration_order_agreement(umbilic33):

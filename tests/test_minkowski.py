@@ -212,10 +212,10 @@ def test_surface_products_match_matmul(psi):
 @given(_sl2())
 def test_lagrangian_map_matches_inverse(psi):
     # L = i Psi e1 adj(Psi) / det(Psi) against the LAPACK inverse
-    lmap = lagrangian_map(FrameField(psi=psi, det_drift=0.0))
+    L = lagrangian_map(FrameField(psi=psi, det_drift=0.0))
     oracle = 1j * psi @ E1 @ np.linalg.inv(psi)
-    _assert_close(lmap.L, oracle, (_norm(psi) ** 4)[..., None, None], ulps=32)
-    assert np.array_equal(lmap.L[..., 0, 0], -lmap.L[..., 1, 1])
+    _assert_close(L, oracle, (_norm(psi) ** 4)[..., None, None], ulps=32)
+    assert np.array_equal(L[..., 0, 0], -L[..., 1, 1])
 
 
 ANGLE = st.floats(min_value=0.0, max_value=6.3)

@@ -89,8 +89,8 @@ def _texts(nx, ny):
         "frame.csv": frame_csv(FrameField(psi=psi, det_drift=0.0)),
         "surface.obj": surface_obj(surf),
         "diagnostics.csv": diagnostics_csv(k_num, h_num, psi[..., 0, 0]),
-        "gaussmap_h2.csv": gaussmap_csv(grid, w, "H2"),
-        "gaussmap_s2.csv": gaussmap_csv(grid, s2, "S2"),
+        "gaussmap_h2.csv": gaussmap_csv(grid, w),
+        "gaussmap_s2.csv": gaussmap_csv(grid, s2),
     }
 
 
@@ -269,10 +269,10 @@ def test_grid_writers_match_format_oracle(grid, data):
     assert metric_field_csv(MetricField(u=u, K=-0.75), grid) == _format_grid_table(
         grid, "i,j,x,y,u", "{:.17g}", [u]
     )
-    assert gaussmap_csv(grid, w, "H2") == _format_grid_table(
+    assert gaussmap_csv(grid, w) == _format_grid_table(
         grid, "i,j,x,y,re_w,im_w", "{:.17g},{:.17g}", [w.real, w.imag]
     )
-    assert gaussmap_csv(grid, s2, "S2") == _format_grid_table(
+    assert gaussmap_csv(grid, s2) == _format_grid_table(
         grid, "i,j,x,y,s1,s2,s3", "{:.17g},{:.17g},{:.17g}", np.moveaxis(s2, -1, 0)
     )
     columns = [data.draw(float_arrays(shape)) for _ in range(4)]

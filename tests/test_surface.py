@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from cgcsurf.errors import HyperboloidDrift, NotInvariant
+from cgcsurf.errors import DegenerateMetric, HyperboloidDrift, NotInvariant
 from cgcsurf.gauss import MetricField, solve_gauss, umbilic_seed
 from cgcsurf.grid import Grid, window_mask
 from cgcsurf.lax import build_uv, integrate_frame
-from cgcsurf.minkowski import mink_pairing
+from cgcsurf.minkowski import E1, mink_pairing
 from cgcsurf.qdiff import PLANE, QDiff
 from cgcsurf.surface import (
-    associated_family,
+    SurfaceData,
     build_surface,
     curvature,
     curvature_error,
@@ -52,6 +52,18 @@ def test_hyperboloid_drift_detected(slope33):
         build_surface(bad)
 
 
+def test_constant_surface_has_degenerate_metric():
+    # f = e0 and n = e1 at every node: df = 0, so I = 0
+    grid = Grid.centered_square(0.5, 9)
+    f = np.zeros((9, 9, 2, 2), dtype=complex)
+    f[...] = np.eye(2)
+    forms = fundamental_forms_numeric(SurfaceData(f=f, n=f @ E1), grid)
+    with pytest.raises(DegenerateMetric):
+        curvature(forms, grid)
+    with pytest.raises(DegenerateMetric):
+        mean_curvature(forms, grid)
+
+
 def test_curvature_near_target(slope33):
     grid, _, s = slope33
     forms = fundamental_forms_numeric(s, grid)
@@ -90,17 +102,11 @@ def test_klotz_recovery(slope33):
     assert klotz_dbar(q_num, grid) <= dbar
 
 
-def test_family_lambda_one_is_base(slope33):
-    grid, mf, s = slope33
-    fam = associated_family(mf, grid, Q_SLOPE, 4)
-    assert np.allclose(fam[0].f, s.f, atol=1e-12)
-
-
 def test_family_q_flips_sign_at_i(slope33):
-    grid, mf, _ = slope33
-    fam = associated_family(mf, grid, Q_SLOPE, 4)
-    base = fundamental_forms_numeric(fam[0], grid)
-    forms = fundamental_forms_numeric(fam[1], grid)  # lam = i
+    grid, mf, s = slope33
+    base = fundamental_forms_numeric(s, grid)  # lam = 1
+    frame = integrate_frame(build_uv(mf, grid, Q_SLOPE, 1j), grid)
+    forms = fundamental_forms_numeric(build_surface(frame), grid)
     win = window_mask(grid, 0.8, depth=1)
     target = -0.1 * grid.zmesh
     assert np.max(np.abs((forms.q_num - target)[win])) <= 2e-2
